@@ -43,26 +43,28 @@
  *     permanent registry cost) and on (ring-buffered round/unit
  *     spans); the delta is the observability tax and must stay under
  *     2% (docs/OBSERVABILITY.md);
- *  9. cross-session co-scheduling + windowed decode — (a) serving
- *     traces through the ContinuousBatcher with the per-session
- *     nested fan-out vs the global round co-scheduler at slots=8 /
- *     layers=2 / threads=8, two rows: a scheduling-bound shape
- *     (near-free units, so the wall ratio isolates the fan-out
- *     machinery — the co <= 0.6x acceptance row) and the
- *     examples/batch_serving shape (compute-bound; the bubble-ratio
- *     contrast, whose `bubble_ratio_coscheduled` is the committed
+ *  9. batcher rounds + windowed decode — (a) serving traces through
+ *     the ContinuousBatcher at slots=8 / layers=2 / threads=8, two
+ *     rows: a scheduling-bound shape (near-free units, so the wall
+ *     isolates the round fan-out machinery) and the
+ *     examples/batch_serving shape (compute-bound). Each row reports
+ *     the median wall (and quartiles) over at least 5 reps, the
+ *     median lane-idle ratio — the serving row's is the committed
  *     baseline the telemetry CI job gates batch_serving runs
- *     against); both rows assert the bit-identical checksum match;
- *     and (b) the window-aware decode scan order — per-token decode
- *     cost of a layer under a sink+recency retention window at
- *     context 4096 vs 16384, which must stay flat (the scan and its
- *     scratch clearing are O(window), not O(context)).
+ *     against — and the checksum match against a 1-thread
+ *     pipeline=false oracle serve; and (b) the window-aware decode
+ *     scan order — per-token decode cost of a layer under a
+ *     sink+recency retention window at context 4096 vs 16384, which
+ *     must stay flat (the scan and its scratch clearing are
+ *     O(window), not O(context)).
  *
  * Flags: --quick (CI smoke: fewer/smaller points), --reps=N best-of
- * repetitions (default 3), --out=FILE (default BENCH_perf.json),
- * --threads=N sweep workers (default hardware).
+ * repetitions (default 3; section 9a takes the median of max(5, N)
+ * serves), --out=FILE (default BENCH_perf.json), --threads=N sweep
+ * workers (default hardware).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -881,51 +883,36 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------------
-    // 9. Cross-session co-scheduling + windowed decode: (a) one
-    //    serving trace through the per-session nested fan-out vs the
-    //    global round co-scheduler at slots=8 / layers=2 / threads=8
-    //    — wall, bubble ratio both ways (same counters, so the two
-    //    figures are directly comparable), bit-identical checksums;
-    //    (b) windowed decode cost at context 4096 vs 16384 under a
-    //    64-sink / 512-recency window — flat, because the scan order
-    //    and its scratch clearing are O(window).
+    // 9. Batcher rounds + windowed decode: (a) serving traces at
+    //    slots=8 / layers=2 / threads=8 — median wall and lane-idle
+    //    ratio over repeated serves, checksums against the serial
+    //    oracle; (b) windowed decode cost at context 4096 vs 16384
+    //    under a 64-sink / 512-recency window — flat, because the scan
+    //    order and its scratch clearing are O(window).
     // ------------------------------------------------------------------
-    std::printf("\n[9/9] co-scheduling (slots=8, layers=2, threads=8) "
+    std::printf("\n[9/9] batcher rounds (slots=8, layers=2, threads=8) "
                 "+ windowed decode\n");
     {
-        // Two A/B rows, both at slots=8 / layers=2 / threads=8:
+        // Two rows, both at slots=8 / layers=2 / threads=8:
         //
         //  - scheduling_bound: units deliberately near-free (eight
         //    dim-4 heads, 2-bit keys, a 16-token retention window
         //    keeping every decode scan O(window)) so the row isolates
-        //    the fan-out machinery itself — per-session mode pays one
-        //    nested parallelFor per engine round per session plus an
-        //    8-wide KV-head reduction fan-out per unit, the
-        //    co-scheduler one hardware-clamped wave per global round.
-        //    This is the wall-clock acceptance row (co <= 0.6x
-        //    per-session).
+        //    the round fan-out machinery itself.
         //  - serving: the exact examples/batch_serving trace and
-        //    geometry, where compute dominates and the wall gap
-        //    narrows, but the per-session schedule strands the lanes
-        //    it asks for whenever few sessions are resident — the
-        //    bubble-ratio contrast. `bubble_ratio_coscheduled` of
-        //    this row is the committed baseline the telemetry CI job
-        //    gates batch_serving --slots 8 --layers 2 --threads 8
-        //    runs against.
-        struct CoschedShape
+        //    geometry, where compute dominates. Its lane-idle ratio
+        //    is the committed baseline the telemetry CI job gates
+        //    batch_serving --slots 8 --layers 2 --threads 8 runs
+        //    against.
+        struct RoundShape
         {
             const char *name;
             TraceSpec ts;
             BatcherOptions opt;
-            /** Reps beyond the global --reps for this row. The
-             *  scheduling-bound row is cheap (~100 ms/arm) and its
-             *  ratio IS the acceptance figure, so it buys extra
-             *  noise suppression. */
-            int extra_reps = 0;
         };
-        std::vector<CoschedShape> shapes;
+        std::vector<RoundShape> shapes;
         {
-            CoschedShape sched;
+            RoundShape sched;
             sched.name = "scheduling_bound";
             sched.ts.num_requests = quick ? 16 : 32;
             sched.ts.rate_per_s = 4000.0;
@@ -935,11 +922,10 @@ main(int argc, char **argv)
             sched.ts.decode_max = quick ? 128 : 256;
             sched.ts.seed = 777;
             sched.opt.prefill_chunk = 8;
-            // Many tiny KV heads: per-session mode pays its nested
-            // KV-head reduction fan-out 8 lanes wide per unit while
-            // the unit's compute (8 x dim-4 2-bit rows over a
-            // 16-token window) stays near-free — the geometry that
-            // maximizes scheduling overhead per unit of work.
+            // Many tiny KV heads: an 8-wide KV-head reduction whose
+            // compute (8 x dim-4 2-bit rows over a 16-token window)
+            // stays near-free — the geometry that maximizes
+            // scheduling overhead per unit of work.
             sched.opt.heads = 8;
             sched.opt.kv_heads = 8;
             sched.opt.head_dim = 4;
@@ -947,10 +933,9 @@ main(int argc, char **argv)
             sched.opt.page_tokens = 16;
             sched.opt.retention.sink_tokens = 4;
             sched.opt.retention.recency_tokens = 12;
-            sched.extra_reps = 5;
             shapes.push_back(sched);
 
-            CoschedShape serving;
+            RoundShape serving;
             serving.name = "serving";
             serving.ts.num_requests = quick ? 12 : 24;
             serving.ts.rate_per_s = 200.0;
@@ -970,56 +955,55 @@ main(int argc, char **argv)
             shapes.push_back(serving);
         }
 
+        // Quantile at the nearest index of a small sample.
+        const auto quantile = [](std::vector<double> v, double q) {
+            std::sort(v.begin(), v.end());
+            const auto i = static_cast<std::size_t>(
+                q * static_cast<double>(v.size() - 1) + 0.5);
+            return v[i];
+        };
+        const int round_reps = std::max(5, reps);
         Table t9a;
-        t9a.header({"shape", "per-session ms", "co-scheduled ms",
-                    "co/per", "bubble per", "bubble co"});
-        json.openArray("coschedule");
-        for (CoschedShape &shape : shapes) {
-            shape.opt.threads = 8;
+        t9a.header({"shape", "wall ms (median)", "q1..q3 ms",
+                    "lanes idle", "oracle match"});
+        json.openArray("batcher_rounds");
+        for (RoundShape &shape : shapes) {
             shape.opt.max_active = 8;
             shape.opt.layers = 2;
             const std::vector<ServingRequest> trace =
                 poissonArrivalTrace(shape.ts);
 
-            // Interleaved A/B reps (per, co, per, co, ...): a noisy
-            // window on the host — throttling, a neighbor VM — lands
-            // on both arms instead of whichever happened to run
-            // inside it. Best-of per arm, keeping the fastest run's
-            // report (its bubble ratio is the least noise-polluted).
-            ServingReport per;
-            ServingReport co;
-            double per_ms = 0.0;
-            double co_ms = 0.0;
-            const int ab_reps = std::max(1, reps) + shape.extra_reps;
-            for (int r = 0; r < ab_reps; r++) {
-                shape.opt.coschedule = false;
-                const ServingReport p =
-                    ContinuousBatcher(shape.opt).run(trace);
-                shape.opt.coschedule = true;
-                const ServingReport c =
-                    ContinuousBatcher(shape.opt).run(trace);
-                if (r == 0 || p.wall_ms < per_ms) {
-                    per_ms = p.wall_ms;
-                    per = p;
-                }
-                if (r == 0 || c.wall_ms < co_ms) {
-                    co_ms = c.wall_ms;
-                    co = c;
-                }
-            }
-            checksum += static_cast<int64_t>(co.checksum & 0xffff);
+            // The serial oracle: 1 worker, pipeline=false.
+            BatcherOptions oracle_opt = shape.opt;
+            oracle_opt.threads = 1;
+            oracle_opt.pipeline = false;
+            const ServingReport oracle =
+                ContinuousBatcher(oracle_opt).run(trace);
 
-            const bool match = per.checksum == co.checksum &&
-                per.prefill_checksum == co.prefill_checksum &&
-                per.peak_cache_bytes == co.peak_cache_bytes;
+            shape.opt.threads = 8;
+            std::vector<double> wall_ms;
+            std::vector<double> idle;
+            bool match = true;
+            for (int r = 0; r < round_reps; r++) {
+                const ServingReport rep =
+                    ContinuousBatcher(shape.opt).run(trace);
+                wall_ms.push_back(rep.wall_ms);
+                idle.push_back(rep.pipeline_bubble_ratio);
+                match = match && rep.checksum == oracle.checksum &&
+                    rep.prefill_checksum == oracle.prefill_checksum;
+            }
+            checksum += static_cast<int64_t>(oracle.checksum & 0xffff);
             if (!match)
                 std::fprintf(stderr,
-                             "co-scheduler changed outputs (BUG)\n");
-            t9a.row({shape.name, Table::num(per_ms, 1),
-                     Table::num(co_ms, 1),
-                     Table::num(co_ms / per_ms, 2),
-                     Table::num(per.pipeline_bubble_ratio, 3),
-                     Table::num(co.pipeline_bubble_ratio, 3)});
+                             "batcher diverged from the serial oracle "
+                             "(BUG)\n");
+            const double med = quantile(wall_ms, 0.5);
+            const double q1 = quantile(wall_ms, 0.25);
+            const double q3 = quantile(wall_ms, 0.75);
+            const double idle_med = quantile(idle, 0.5);
+            t9a.row({shape.name, Table::num(med, 1),
+                     Table::num(q1, 1) + ".." + Table::num(q3, 1),
+                     Table::num(idle_med, 3), match ? "yes" : "NO"});
 
             json.openObject();
             json.str("shape", shape.name);
@@ -1031,15 +1015,11 @@ main(int argc, char **argv)
                        static_cast<int64_t>(shape.opt.layers));
             json.field("threads",
                        static_cast<int64_t>(shape.opt.threads));
-            json.field("per_session_wall_ms", per_ms);
-            json.field("coscheduled_wall_ms", co_ms);
-            json.field("speedup_co_vs_per_session", per_ms / co_ms);
-            json.field("wall_ratio_co_vs_per_session",
-                       co_ms / per_ms);
-            json.field("bubble_ratio_per_session",
-                       per.pipeline_bubble_ratio);
-            json.field("bubble_ratio_coscheduled",
-                       co.pipeline_bubble_ratio);
+            json.field("reps", static_cast<int64_t>(round_reps));
+            json.field("wall_ms_median", med);
+            json.field("wall_ms_q1", q1);
+            json.field("wall_ms_q3", q3);
+            json.field("lane_idle_ratio", idle_med);
             json.field("checksum_match",
                        std::string(match ? "true" : "false"));
             json.close();
@@ -1057,10 +1037,9 @@ main(int argc, char **argv)
         Table t9;
         t9.header({"ctx", "window", "decode us/tok"});
         json.openArray("windowed_decode");
-        // Interleave the two contexts across reps (4k, 16k, 4k, ...)
-        // for the same reason section 9a interleaves its arms: the
-        // flatness ratio must compare like conditions, not whichever
-        // context drew the quiet window.
+        // Interleave the two contexts across reps (4k, 16k, 4k, ...):
+        // the flatness ratio must compare like conditions, not
+        // whichever context drew the quiet window.
         const int ctxs[2] = {4096, 16384};
         double best_us[2] = {0.0, 0.0};
         for (int r = 0; r < std::max(1, reps); r++) {

@@ -16,7 +16,6 @@
 #ifndef PADE_RUNTIME_THREAD_POOL_H
 #define PADE_RUNTIME_THREAD_POOL_H
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <exception>
@@ -60,28 +59,6 @@ class ThreadPool
      */
     bool tryRunOne() PADE_EXCLUDES(mu_);
 
-    /**
-     * Threads currently executing a task of this pool — workers plus
-     * help-draining callers (tryRunOne frames). A relaxed occupancy
-     * probe for capacity accounting (e.g. the pipeline bubble ratio's
-     * honest round width, docs/OBSERVABILITY.md), NOT a
-     * synchronization primitive: the value may be stale by the time
-     * the caller reads it.
-     */
-    int
-    busyWorkers() const
-    {
-        return busy_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * True while the calling thread is inside a pool task (a worker
-     * executing a task, or any thread inside a tryRunOne help-drain
-     * frame). Lets occupancy consumers subtract their own slot from
-     * busyWorkers().
-     */
-    static bool inTask();
-
     /** Detected core count (at least 1). */
     static int hardwareThreads();
 
@@ -108,8 +85,6 @@ class ThreadPool
     /** Worker handles; written only by the ctor, joined by the dtor. */
     std::vector<std::thread> workers_;
     int active_ PADE_GUARDED_BY(mu_) = 0;
-    /** Lock-free mirror of active_ for the busyWorkers() probe. */
-    std::atomic<int> busy_{0};
     bool stop_ PADE_GUARDED_BY(mu_) = false;
 };
 

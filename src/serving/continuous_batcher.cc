@@ -13,10 +13,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "runtime/mutex.h"
 #include "runtime/thread_pool.h"
 #include "serving/model_engine.h"
 
@@ -93,6 +91,16 @@ telemetryReportJson(const obs::MetricsSnapshot &delta,
     return out;
 }
 
+/** Lane capacity of the run's batcher rounds (lanes x round wall);
+ *  the denominator of the lane-idle ratio. */
+obs::Counter &
+roundCapacityUs()
+{
+    static obs::Counter &c =
+        obs::Registry::instance().counter("model.round_capacity_us");
+    return c;
+}
+
 /** One in-flight request: its workload, KV state, and timeline. */
 struct Session
 {
@@ -139,41 +147,11 @@ struct Session
 };
 
 /**
- * Accounting shared by every session of one scheduling round. The
- * per-session step results are disjoint, but the round-wide resident
- * KV byte total is genuinely concurrent state: each worker folds its
- * session's bytesUsed() in as it finishes stepping, under the mutex.
- * size_t addition commutes, so the total is deterministic for any
- * thread count. Guarded members + MutexLock keep the access pattern
- * provable by -Wthread-safety and visible to TSan.
- */
-struct RoundAccounting
-{
-    Mutex mu;
-    /** Resident KV bytes summed over the round's sessions. */
-    std::size_t cache_bytes PADE_GUARDED_BY(mu) = 0;
-
-    void
-    add(std::size_t bytes) PADE_EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        cache_bytes += bytes;
-    }
-    std::size_t
-    total() PADE_EXCLUDES(mu)
-    {
-        MutexLock lock(mu);
-        return cache_bytes;
-    }
-};
-
-/**
  * Unit 1 of every session: materialize its whole-model workload
  * (static quantization scales, prefix-pure rows; see ModelWorkload)
  * and pipelined engine, then adopt any prefix pages an earlier
- * session already published. Runs on a pool worker in both
- * scheduling modes; touches only the session and the (internally
- * mutex'd) prefix index.
+ * session already published. Touches only the session and the
+ * (internally mutex'd) prefix index.
  */
 void
 materializeSession(Session &s, const BatcherOptions &opt,
@@ -225,8 +203,8 @@ materializeSession(Session &s, const BatcherOptions &opt,
             },
             [self](const TokenResult &tr) {
                 // Canonical emission order (feed order; layers
-                // ascending within a token) in both schedules, so
-                // sequential mixing is schedule-invariant. Prefix
+                // ascending within a token) in both engine schedules,
+                // so sequential mixing is schedule-invariant. Prefix
                 // positions are skipped entirely on a cache hit, so
                 // they must not feed the checksum on a miss either.
                 const ServingRequest &r = *self->req;
@@ -262,8 +240,8 @@ materializeSession(Session &s, const BatcherOptions &opt,
 /**
  * Once a session's own prefix pages are complete, publish them for
  * later arrivals — unless the whole chain was adopted, in which case
- * the index already has them. Called right after the session's
- * prefilled count advances, in both scheduling modes.
+ * the index already has them. Called on the scheduler thread after
+ * each round's barrier.
  */
 void
 maybePublishPrefix(Session &s, const BatcherOptions &opt,
@@ -285,53 +263,18 @@ maybePublishPrefix(Session &s, const BatcherOptions &opt,
 }
 
 /**
- * Positions a resident session feeds its engine this round: one
- * prefill chunk while the prompt is unfinished, one decode token
- * after. Returns the number of *prompt* tokens fed (0 = decode); the
- * caller advances prefilled/decoded once the engine has drained.
- */
-int
-feedRoundPositions(Session &s, const BatcherOptions &opt)
-{
-    const ServingRequest &req = *s.req;
-    if (s.prefilled < req.prompt_len) {
-        const int n = std::min(opt.prefill_chunk,
-                               req.prompt_len - s.prefilled);
-        for (int t = 0; t < n; t++)
-            s.engine->feed(s.prefilled + t, req.prompt_len);
-        return n;
-    }
-    s.engine->feed(req.prompt_len + s.decoded, req.prompt_len);
-    return 0;
-}
-
-/**
- * Advance one session by one scheduling unit — the per-session
- * (non-co-scheduled) path. Runs on a pool worker; sessions touch
- * disjoint state, so the sharing surface is the pool itself (the
- * in-session fan-outs nest on it — parallelFor's caller work-stealing
- * keeps that deadlock-free) and the mutex-guarded round accounting.
+ * Advance one session by one scheduling unit: materialize it, score
+ * one prefill chunk, or decode one token. Sessions touch disjoint
+ * state, so a round runs them concurrently; @p pool, when given, also
+ * fans the engine's pipeline rounds and KV-head reductions out
+ * (parallelFor's caller help-draining keeps nested fan-outs on one
+ * pool deadlock-free).
  */
 void
 stepSession(Session &s, const BatcherOptions &opt, ThreadPool *pool,
-            RoundAccounting &round, PrefixIndex *index)
+            PrefixIndex *index)
 {
     const ServingRequest &req = *s.req;
-    // Fold this session's resident bytes into the round total on the
-    // way out, whatever unit ran (including early returns below).
-    // Adopted prefix pages count once per adopter — the total is the
-    // bytes sessions *reference*, the saving is reported separately.
-    struct BytesOnExit
-    {
-        Session &s;
-        RoundAccounting &round;
-        ~BytesOnExit()
-        {
-            if (s.engine)
-                round.add(s.engine->bytesUsed());
-        }
-    } bytes_on_exit{s, round};
-
     if (!s.engine) {
         materializeSession(s, opt, index);
         return;
@@ -342,15 +285,16 @@ stepSession(Session &s, const BatcherOptions &opt, ThreadPool *pool,
             "batcher.prefill_chunk",
             {{"request", static_cast<int64_t>(s.index)},
              {"pos", s.prefilled}});
-        // Unit 2..k: one prefill chunk — feed the chunk's positions
-        // into the pipeline and drain it: appends and guarded causal
-        // scoring of up to `layers` positions overlap on the pool,
+        // One prefill chunk: feed the chunk's positions into the
+        // pipeline and drain it — appends and guarded causal scoring,
         // bit-identical to the serial layer loop for any chunking
         // (tile-by-tile over the ISTA order of the full prompt).
-        const int n = feedRoundPositions(s, opt);
+        const int n = std::min(opt.prefill_chunk,
+                               req.prompt_len - s.prefilled);
+        for (int t = 0; t < n; t++)
+            s.engine->feed(s.prefilled + t, req.prompt_len);
         s.engine->drain(pool);
         s.prefilled += n;
-        maybePublishPrefix(s, opt, index);
         return;
     }
 
@@ -361,214 +305,37 @@ stepSession(Session &s, const BatcherOptions &opt, ThreadPool *pool,
         "batcher.decode_token",
         {{"request", static_cast<int64_t>(s.index)},
          {"token", s.decoded}});
-    feedRoundPositions(s, opt);
+    s.engine->feed(req.prompt_len + s.decoded, req.prompt_len);
     s.engine->drain(pool);
     s.decoded++;
 }
 
-// Global-round telemetry of the co-scheduler: the same
-// model.rounds / model.units / model.round_capacity_us counters
-// ModelEngine::advance() feeds in per-session mode, recorded once per
-// WAVE here because only the batcher knows the global round width.
-// (runCollectedUnit still records model.unit_busy_us per unit, so the
-// bubble ratio derivation is mode-independent.)
-struct WaveMetrics
-{
-    obs::Counter &rounds;
-    obs::Counter &units;
-    obs::Counter &round_capacity_us;
-
-    static WaveMetrics &
-    get()
-    {
-        static WaveMetrics m{
-            obs::Registry::instance().counter("model.rounds"),
-            obs::Registry::instance().counter("model.units"),
-            obs::Registry::instance().counter(
-                "model.round_capacity_us"),
-        };
-        return m;
-    }
-};
-
 /**
- * One co-scheduled batcher round: the same session-level schedule as
- * the per-session path — every active session advances by exactly one
- * unit (materialize, prefill chunk, or decode token) — but the engine
- * work is executed as global WAVES. Each wave opens one pipeline
- * round per engine with pending work (ModelEngine::collectUnits) and
- * runs the union of all their units through a single pool-wide
- * parallelFor; waves repeat until every engine has drained, exactly
- * like per-session drain() loops advance().
- *
- * Bit-identity with per-session scheduling, for any thread/slot
- * count: each engine sees exactly the round sequence its own drain()
- * would run (collectUnits admits identically, completeRound retires
- * identically, in feed order); units of one engine's round touch
- * disjoint layers (the PR 7 argument) and units of distinct sessions
- * touch disjoint sessions — so the flat wave list has no two units
- * sharing mutable state, and execution order cannot matter. All
- * post-unit bookkeeping (prefilled/decoded advance, prefix publish,
- * byte folding) happens on the scheduler thread at the same schedule
- * points the per-session path reaches them.
+ * One scheduling round: every active session advances by one unit
+ * through its own engine, the sessions fanned over the pool in one
+ * parallelFor. With one lane, or one session, the round runs inline
+ * on this thread, so a 1-worker serve executes on exactly one thread.
+ * The pool goes down to the engines' nested fan-outs only while the
+ * sessions alone cannot fill the @p lanes. Both choices are
+ * scheduling only: every session's outputs are bit-identical either
+ * way (disjoint sessions; the engines' ordered reductions).
  */
-/** Scratch reused across coscheduleRound calls: the wave loop runs
- *  thousands of rounds per trace, and re-allocating its four small
- *  vectors every round is measurable against microsecond units. */
-struct CoscheduleScratch
-{
-    struct RoundPlan
-    {
-        Session *s;
-        int prefill_n; //!< prompt tokens fed (0 = decode token)
-    };
-    struct UnitRef
-    {
-        ModelEngine *engine;
-        int unit;
-    };
-    std::vector<Session *> fresh;
-    std::vector<RoundPlan> plans;
-    std::vector<UnitRef> units;
-    std::vector<ModelEngine *> open;
-};
-
 void
-coscheduleRound(std::vector<std::unique_ptr<Session>> &active,
-                const BatcherOptions &opt, ThreadPool &pool,
-                RoundAccounting &round, PrefixIndex *index,
-                CoscheduleScratch &scratch)
+runRound(const std::vector<std::unique_ptr<Session>> &active,
+         const BatcherOptions &opt, ThreadPool &pool, int lanes,
+         PrefixIndex *index)
 {
-    // Plan on the scheduler thread: fresh sessions owe a materialize
-    // unit; resident sessions feed this round's positions (cheap
-    // queue pushes) and owe pipeline units to the waves below.
-    using RoundPlan = CoscheduleScratch::RoundPlan;
-    using UnitRef = CoscheduleScratch::UnitRef;
-    std::vector<Session *> &fresh = scratch.fresh;
-    std::vector<RoundPlan> &plans = scratch.plans;
-    fresh.clear();
-    plans.clear();
-    fresh.reserve(active.size());
-    plans.reserve(active.size());
-    for (const auto &sp : active) {
-        Session &s = *sp;
-        if (!s.engine) {
-            fresh.push_back(&s);
-            continue;
-        }
-        plans.push_back(RoundPlan{&s, feedRoundPositions(s, opt)});
-    }
-
-    // Materialize the round's fresh sessions in one fan-out. Workload
-    // generation is not pipeline work, so it stays outside the wave
-    // loop and its capacity accounting — as in per-session mode.
-    if (!fresh.empty()) {
-        const auto mat = [&](int i) {
-            materializeSession(*fresh[static_cast<std::size_t>(i)],
-                               opt, index);
-        };
-        if (pool.threadCount() > 1 && fresh.size() > 1)
-            parallelFor(pool, static_cast<int>(fresh.size()), mat);
-        else
-            for (std::size_t i = 0; i < fresh.size(); i++)
-                mat(static_cast<int>(i));
-    }
-
-    // The waves. Per iteration: open one round per engine with
-    // pending work, run every collected unit in one parallelFor, then
-    // complete the rounds on this thread (ages/retirement — the sink
-    // calls — in session order, deterministically).
-    std::vector<UnitRef> &units = scratch.units;
-    std::vector<ModelEngine *> &open = scratch.open;
-    for (;;) {
-        units.clear();
-        open.clear();
-        for (const RoundPlan &p : plans) {
-            ModelEngine &e = *p.s->engine;
-            const int n = e.collectUnits();
-            if (n == 0)
-                continue;
-            open.push_back(&e);
-            for (int u = 0; u < n; u++)
-                units.push_back(UnitRef{&e, u});
-        }
-        const int total = static_cast<int>(units.size());
-        if (total == 0)
-            break;
-        {
-            const obs::ScopedSpan wave_span(
-                "model.round",
-                {{"flights", static_cast<int64_t>(total)},
-                 {"sessions",
-                  static_cast<int64_t>(open.size())}});
-            // Waves are fine-grained (one layer of one token per
-            // unit), so fan out only as wide as the HARDWARE can
-            // execute: an oversubscribed pool would wake sleeping
-            // workers for microsecond units and pay a context switch
-            // each — on a 1-core host the whole wave runs inline on
-            // this thread instead. Pure scheduling choice; unit
-            // outputs are order-independent within a wave (disjoint
-            // sessions/layers), so this cannot perturb results.
-            const int lanes = std::min(pool.threadCount(),
-                                       ThreadPool::hardwareThreads());
-            // Nested KV-head fan-out only helps while the wave itself
-            // undersubscribes those lanes; saturated waves run their
-            // units' reductions inline. A function of the wave shape
-            // only — outputs are bit-identical either way (the
-            // parallelReduceOrdered contract), so this cannot perturb
-            // results, only overhead.
-            ThreadPool *nested = total < lanes ? &pool : nullptr;
-            const auto unit = [&](int i) {
-                const UnitRef &u =
-                    units[static_cast<std::size_t>(i)];
-                u.engine->runCollectedUnit(u.unit, nested);
-            };
-            const auto t0 = std::chrono::steady_clock::now();
-            if (lanes > 1 && total > 1)
-                parallelFor(pool, total, unit);
-            else
-                for (int i = 0; i < total; i++)
-                    unit(i);
-            if constexpr (obs::kTelemetryEnabled) {
-                WaveMetrics &m = WaveMetrics::get();
-                m.rounds.add(1);
-                m.units.add(static_cast<uint64_t>(total));
-                const auto wall_us = static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count());
-                // Wave width: lanes the hardware could really fill —
-                // an oversubscribed pool (threads > cores) cannot
-                // compute more than `cores` unit-seconds per second,
-                // and charging phantom lanes as idle capacity would
-                // inflate the bubble ratio on small hosts.
-                const int width = std::min(
-                    {pool.threadCount(),
-                     ThreadPool::hardwareThreads(), total});
-                m.round_capacity_us.add(
-                    static_cast<uint64_t>(width) * wall_us);
-            }
-        }
-        for (ModelEngine *e : open)
-            e->completeRound();
-    }
-
-    // Post-round bookkeeping at the same schedule point the
-    // per-session path reaches after its unit, then the byte fold
-    // (scheduler-thread sequential — RoundAccounting still commutes,
-    // so the total matches per-session mode exactly).
-    for (const RoundPlan &p : plans) {
-        if (p.prefill_n > 0) {
-            p.s->prefilled += p.prefill_n;
-            maybePublishPrefix(*p.s, opt, index);
-        } else {
-            p.s->decoded++;
-        }
-    }
-    for (const auto &sp : active)
-        if (sp->engine)
-            round.add(sp->engine->bytesUsed());
+    const int sessions = static_cast<int>(active.size());
+    ThreadPool *nested = sessions < lanes ? &pool : nullptr;
+    const auto step = [&](int i) {
+        stepSession(*active[static_cast<std::size_t>(i)], opt, nested,
+                    index);
+    };
+    if (lanes > 1 && sessions > 1)
+        parallelFor(pool, sessions, step);
+    else
+        for (int i = 0; i < sessions; i++)
+            step(i);
 }
 
 } // namespace
@@ -609,6 +376,10 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
         PADE_CHECK_LE(trace[i].arrival_ms, trace[i + 1].arrival_ms);
 
     ThreadPool pool(opt_.threads);
+    // Lanes a round can really fill: an oversubscribed pool cannot
+    // compute more than `cores` unit-seconds per second.
+    const int lanes =
+        std::min(pool.threadCount(), ThreadPool::hardwareThreads());
     // One prefix index per run, shared by every slot (internally
     // mutex'd; see serving/prefix_index.h). Streams = layers x
     // kv_heads pages per trie node, row-major by layer — the layout
@@ -620,6 +391,7 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
         pio.max_bytes = opt_.prefix_cache_bytes;
         prefix_index.emplace(pio);
     }
+    PrefixIndex *index = prefix_index ? &*prefix_index : nullptr;
     std::vector<std::unique_ptr<Session>> active;
     active.reserve(static_cast<std::size_t>(opt_.max_active));
     std::size_t next = 0;
@@ -628,7 +400,6 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
     int admit_seq = 0;
     double now_ms = 0.0;
 
-    CoscheduleScratch cosched_scratch;
     std::vector<double> latency;
     std::vector<double> ttft;
     std::vector<double> tpot;
@@ -685,35 +456,40 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
             "batcher.round",
             {{"active", static_cast<int64_t>(active.size())},
              {"round", report.rounds}});
-        RoundAccounting round;
-        PrefixIndex *index = prefix_index ? &*prefix_index : nullptr;
-        if (opt_.coschedule) {
-            coscheduleRound(active, opt_, pool, round, index,
-                            cosched_scratch);
-        } else {
-            parallelFor(
-                pool, static_cast<int>(active.size()), [&](int i) {
-                    stepSession(*active[static_cast<std::size_t>(i)],
-                                opt_, &pool, round, index);
-                });
-        }
+        runRound(active, opt_, pool, lanes, index);
+        const auto round_wall = std::chrono::steady_clock::now() - t0;
+        // Every lane is offered work: sessions fill them, or the
+        // nested fan-outs do when sessions are fewer.
+        if constexpr (obs::kTelemetryEnabled)
+            roundCapacityUs().add(
+                static_cast<uint64_t>(lanes) *
+                static_cast<uint64_t>(
+                    std::chrono::duration_cast<std::chrono::microseconds>(
+                        round_wall)
+                        .count()));
         now_ms += opt_.fixed_round_ms >= 0.0
                       ? opt_.fixed_round_ms
                       : std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
+                            round_wall)
                             .count();
         report.rounds++;
 
-        // Post-round bookkeeping on the scheduler thread. The round's
-        // KV byte total was folded in concurrently as sessions
-        // finished stepping (RoundAccounting); first-token times need
-        // the round-end virtual clock, so they stay here.
+        // Post-round bookkeeping on the scheduler thread, after the
+        // barrier: prefix publication (in session order, whatever the
+        // thread count), resident KV bytes (adopted prefix pages count
+        // once per adopter — the total is the bytes sessions
+        // *reference*; the saving is reported separately), and
+        // first-token times, which need the round-end virtual clock.
+        std::size_t cache_bytes = 0;
         for (auto &s : active) {
+            maybePublishPrefix(*s, opt_, index);
+            if (s->engine)
+                cache_bytes += s->engine->bytesUsed();
             if (s->decoded >= 1 && s->first_token_ms < 0.0)
                 s->first_token_ms = now_ms;
         }
         report.peak_cache_bytes =
-            std::max(report.peak_cache_bytes, round.total());
+            std::max(report.peak_cache_bytes, cache_bytes);
 
         // Evict finished sessions: record the timeline, free the KV
         // pages, release the slot.

@@ -7,14 +7,11 @@
  * are admitted into a bounded set of active *sessions*, and every
  * scheduling round advances each active session by one unit of work —
  * workload materialization, a scored prefill chunk, or one decoded
- * token — fanned across a ThreadPool. By default the fan-out is
- * *co-scheduled* (`BatcherOptions::coschedule`): the round collects
- * every session's ready pipeline units into one flat list per wave
- * and runs a single pool-wide parallelFor over all of them, so the
- * host saturates on sessions x layers units even when each session
- * alone could not fill it; the per-session nested-parallelFor
- * schedule remains available as the differential oracle and is
- * bit-identical by construction. Finished sessions are evicted
+ * token — through its own `ModelEngine::drain`, the sessions fanned
+ * across a ThreadPool in one parallelFor (inline on the caller when
+ * the pool or the host has one lane, or one session is active; the
+ * pool reaches the engines' nested fan-outs only while sessions
+ * alone cannot fill the lanes). Finished sessions are evicted
  * immediately (their KV pages freed), opening the slot for the next
  * queued request: the continuous-batching discipline, as opposed to
  * static batching where a batch drains at the pace of its longest
@@ -51,13 +48,13 @@
  * global admission sequence.
  *
  * Concurrency: sessions advance on pool workers and touch disjoint
- * state; the one genuinely shared mutable object of a round is its
- * RoundAccounting (resident-KV-byte total), guarded by an annotated
- * pade::Mutex (PADE_GUARDED_BY — see common/thread_annotations.h) so
- * clang's -Wthread-safety proves the locking and the TSan CI leg
- * watches it at runtime. Admission invariants (slot count, prefill
- * chunk, GQA divisibility, trace monotonicity) are PADE_CHECKs:
- * violations abort in Release servers, not only in test builds.
+ * state; the one shared object inside a round is the PrefixIndex,
+ * which is internally mutex'd. Everything a round reports — prefix
+ * publication, resident KV bytes, first-token times — is gathered on
+ * the scheduler thread after the round's barrier, in session order.
+ * Admission invariants (slot count, prefill chunk, GQA divisibility,
+ * trace monotonicity) are PADE_CHECKs: violations abort in Release
+ * servers, not only in test builds.
  *
  * Clock model: admission and latency run on a virtual clock that
  * advances by each round's measured host wall time, and jumps forward
@@ -101,21 +98,6 @@ struct BatcherOptions
     /** false = serial layer-by-layer schedule (the reference the
      *  pipelined engine is differentially tested against). */
     bool pipeline = true;
-    /**
-     * Cross-session round co-scheduling: merge every active session's
-     * ready pipeline units into one flat list per wave and fan the
-     * whole fleet through a SINGLE parallelFor, instead of one nested
-     * parallelFor per session per engine round. Keeps wide hosts full
-     * when any one session can only expose `layers` units, and
-     * replaces sessions x rounds barriers per batcher round with
-     * rounds barriers. Bit-identical to per-session scheduling for
-     * any thread/slot count — units of distinct sessions touch
-     * disjoint state, and each engine still sees exactly its own
-     * round sequence (the ModelEngine collectUnits()/completeRound()
-     * contract). false = the per-session schedule, kept as the
-     * differential oracle.
-     */
-    bool coschedule = true;
     /** Share full prefix KV pages across sessions via a PrefixIndex. */
     bool prefix_cache = false;
     /** Shared-page byte budget of the index; 0 = unbounded. */
@@ -197,13 +179,16 @@ struct ServingReport
     /** XOR of session prefill checksums: thread-count invariant. */
     uint64_t prefill_checksum = 0;
     /**
-     * Fraction of the run's pipeline round capacity (round width x
-     * round wall, summed; width = workers the round could actually
-     * claim — pool occupancy-derived per-session, min(threads, units)
-     * for co-scheduled waves) that no unit computed in:
+     * Lane-idle ratio of the run's batcher rounds: the share of lane
+     * capacity (lanes x round wall, summed over rounds) in which no
+     * ModelEngine unit computed,
      * 1 - model.unit_busy_us / model.round_capacity_us over the run's
-     * metric delta. 0 when the library was built without telemetry
-     * (PADE_TELEMETRY=OFF) — the counters never move.
+     * metric delta. Lanes = min(pool threads, hardware threads), the
+     * same for every round: sessions fill them, or the engines'
+     * nested fan-outs do when sessions are fewer. Materialization,
+     * scheduling and barrier time count as idle. 0 when the library
+     * was built without telemetry (PADE_TELEMETRY=OFF) — the counters
+     * never move.
      */
     double pipeline_bubble_ratio = 0.0;
     /** KV bytes committed per token the run appended privately

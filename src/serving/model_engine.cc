@@ -1,6 +1,5 @@
 #include "serving/model_engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -13,20 +12,17 @@ namespace pade {
 
 namespace {
 
-// Pipeline-utilization telemetry (ROADMAP item 2, now observable):
-// every pipelined round records the wall time the *width* of the
-// round could have used (min(pool threads, flights) x round wall) and
-// the time its units actually computed. The bubble ratio of any
-// snapshot delta is then
+// Engine telemetry: advance() rounds, the layer units they ran, and
+// the wall time each unit computed. The batcher adds the lane
+// capacity of its rounds (model.round_capacity_us), so the lane-idle
+// ratio of a serving run is
 //     1 - model.unit_busy_us / model.round_capacity_us
-// — 0 when every lane of every round was full, approaching 1 as the
-// pipeline starves (fill/drain phases, cores > flights).
+// (docs/OBSERVABILITY.md).
 struct ModelMetrics
 {
     obs::Counter &rounds;
     obs::Counter &units;
     obs::Counter &unit_busy_us;
-    obs::Counter &round_capacity_us;
 
     static ModelMetrics &
     get()
@@ -35,12 +31,21 @@ struct ModelMetrics
             obs::Registry::instance().counter("model.rounds"),
             obs::Registry::instance().counter("model.units"),
             obs::Registry::instance().counter("model.unit_busy_us"),
-            obs::Registry::instance().counter(
-                "model.round_capacity_us"),
         };
         return m;
     }
 };
+
+/** Count one advance() round of @p units layer units. */
+void
+recordRound(int units)
+{
+    if constexpr (obs::kTelemetryEnabled) {
+        ModelMetrics &m = ModelMetrics::get();
+        m.rounds.add(1);
+        m.units.add(static_cast<uint64_t>(units));
+    }
+}
 
 int64_t
 microsSince(std::chrono::steady_clock::time_point t0)
@@ -116,6 +121,11 @@ ModelEngine::takeFlight(const Job &job)
 void
 ModelEngine::runUnit(Flight &f, int l, ThreadPool *pool)
 {
+    const obs::ScopedSpan span("model.unit",
+                               {{"layer", l}, {"pos", f.job.pos}});
+    std::chrono::steady_clock::time_point t0;
+    if constexpr (obs::kTelemetryEnabled)
+        t0 = std::chrono::steady_clock::now();
     const auto li = static_cast<std::size_t>(l);
     MatrixI8 &k = stage_k_[li];
     MatrixI8 &v = stage_v_[li];
@@ -135,6 +145,9 @@ ModelEngine::runUnit(Flight &f, int l, ThreadPool *pool)
         f.steps[li] = layer.decode(q, scales, f.outs[li], pool);
         layer.evict();
     }
+    if constexpr (obs::kTelemetryEnabled)
+        ModelMetrics::get().unit_busy_us.add(
+            static_cast<uint64_t>(microsSince(t0)));
 }
 
 void
@@ -150,63 +163,48 @@ ModelEngine::retire(Flight &&f)
     spares_.push_back(std::move(f));
 }
 
-int
-ModelEngine::collectUnits()
+bool
+ModelEngine::advance(ThreadPool *pool)
 {
-    PADE_CHECK(!round_open_);
     if (!cfg_.pipeline) {
-        // Serial reference schedule: one whole-token unit per round.
-        // (flight_ holds at most this one entry in serial mode.)
+        // Serial reference schedule: one whole token through every
+        // layer, in layer order.
         if (queue_.empty())
-            return 0;
-        flight_.push_back(takeFlight(queue_.front()));
+            return false;
+        Flight f = takeFlight(queue_.front());
         queue_.pop_front();
-        round_open_ = true;
-        return 1;
+        for (int l = 0; l < cfg_.layers; l++)
+            runUnit(f, l, pool);
+        recordRound(cfg_.layers);
+        retire(std::move(f));
+        return true;
     }
     if (queue_.empty() && flight_.empty())
-        return 0;
+        return false;
     if (!queue_.empty()) {
         flight_.push_back(takeFlight(queue_.front()));
         queue_.pop_front();
     }
-    round_open_ = true;
-    return static_cast<int>(flight_.size());
-}
 
-void
-ModelEngine::runCollectedUnit(int u, ThreadPool *pool)
-{
-    PADE_DCHECK(round_open_);
-    Flight &f = flight_[static_cast<std::size_t>(u)];
-    if (!cfg_.pipeline) {
-        for (int l = 0; l < cfg_.layers; l++)
-            runUnit(f, l, pool);
-        return;
+    // The systolic round: every in-flight token at its own layer.
+    // Ages are pairwise distinct (strictly decreasing front to back),
+    // so the units touch disjoint engines/buffers — see file comment.
+    const int n = static_cast<int>(flight_.size());
+    {
+        const obs::ScopedSpan round_span("model.round",
+                                         {{"flights", n}});
+        const auto unit = [&](int i) {
+            Flight &f = flight_[static_cast<std::size_t>(i)];
+            runUnit(f, f.age, pool);
+        };
+        if (pool && pool->threadCount() > 1 && n > 1)
+            parallelFor(*pool, n, unit);
+        else
+            for (int i = 0; i < n; i++)
+                unit(i);
     }
-    if constexpr (obs::kTelemetryEnabled) {
-        const obs::ScopedSpan span(
-            "model.unit", {{"layer", f.age}, {"pos", f.job.pos}});
-        const auto t0 = std::chrono::steady_clock::now();
-        runUnit(f, f.age, pool);
-        ModelMetrics::get().unit_busy_us.add(
-            static_cast<uint64_t>(microsSince(t0)));
-    } else {
-        runUnit(f, f.age, pool);
-    }
-}
+    recordRound(n);
 
-void
-ModelEngine::completeRound()
-{
-    PADE_CHECK(round_open_);
-    round_open_ = false;
-    if (!cfg_.pipeline) {
-        Flight f = std::move(flight_.front());
-        flight_.pop_front();
-        retire(std::move(f));
-        return;
-    }
     // Post-barrier, on the caller: age everyone, retire the front
     // when its last layer just ran. At most one token can retire per
     // round (ages are distinct), and it is always the oldest — tokens
@@ -218,60 +216,6 @@ ModelEngine::completeRound()
         flight_.pop_front();
         retire(std::move(f));
     }
-}
-
-bool
-ModelEngine::advance(ThreadPool *pool)
-{
-    const int n = collectUnits();
-    if (n == 0)
-        return false;
-    if (!cfg_.pipeline) {
-        runCollectedUnit(0, pool);
-        completeRound();
-        return true;
-    }
-
-    // The systolic round: every in-flight token at its own layer.
-    // Ages are pairwise distinct (strictly decreasing front to back),
-    // so the units touch disjoint engines/buffers — see file comment.
-    const obs::ScopedSpan round_span("model.round",
-                                     {{"flights", n}});
-    const bool fanout = pool && pool->threadCount() > 1 && n > 1;
-    int width = 1;
-    if constexpr (obs::kTelemetryEnabled) {
-        if (fanout) {
-            // Honest capacity width: workers this round can actually
-            // claim, not min(threads, n). When the pool is shared —
-            // the per-session batcher fans sessions over the same
-            // pool that runs these units — most workers are busy
-            // with OTHER sessions' rounds, and charging their time
-            // as idle capacity would overstate the bubble ratio.
-            // Subtract the occupants seen at round start (minus this
-            // caller's own slot when it runs inside a pool task).
-            const int busy_others = std::max(
-                0,
-                pool->busyWorkers() - (ThreadPool::inTask() ? 1 : 0));
-            width =
-                std::clamp(pool->threadCount() - busy_others, 1, n);
-        }
-    }
-    const auto round_t0 = std::chrono::steady_clock::now();
-    const auto unit = [&](int i) { runCollectedUnit(i, pool); };
-    if (fanout)
-        parallelFor(*pool, n, unit);
-    else
-        for (int i = 0; i < n; i++)
-            unit(i);
-    if constexpr (obs::kTelemetryEnabled) {
-        ModelMetrics &m = ModelMetrics::get();
-        m.rounds.add(1);
-        m.units.add(static_cast<uint64_t>(n));
-        m.round_capacity_us.add(
-            static_cast<uint64_t>(width) *
-            static_cast<uint64_t>(microsSince(round_t0)));
-    }
-    completeRound();
     return true;
 }
 

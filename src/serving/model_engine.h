@@ -53,12 +53,6 @@
  * Thread safety: none at the class surface — one session advances
  * from one caller thread (the batcher steps each session from a
  * single worker per round); internal fan-outs own their barriers.
- * The collectUnits()/runCollectedUnit()/completeRound() split keeps
- * the same contract one level up: collect/complete run on the
- * scheduling thread, while runCollectedUnit() calls for DISTINCT
- * units of one open round may run concurrently (they touch disjoint
- * layers/buffers) — the seam ContinuousBatcher's cross-session
- * co-scheduler fans a whole fleet of sessions through.
  */
 
 #ifndef PADE_SERVING_MODEL_ENGINE_H
@@ -155,34 +149,9 @@ class ModelEngine
      * across @p pool when given), then retire tokens whose last layer
      * completed. Serial mode (pipeline = false) runs one whole token
      * through all layers instead. Returns false when nothing was left
-     * to do. Exactly collectUnits() + runCollectedUnit(0..n-1) +
-     * completeRound(), plus the per-round fan-out and capacity
-     * telemetry a self-contained round owns.
+     * to do.
      */
     bool advance(ThreadPool *pool = nullptr);
-
-    /**
-     * Co-scheduling split of advance(), for a caller that merges the
-     * ready units of MANY sessions into one global fan-out (see
-     * ContinuousBatcher's co-scheduler): collectUnits() opens a round
-     * — admitting at most one queued token into flight exactly as
-     * advance() would — and returns the number of independent units
-     * (0 = drained, no round opened). The caller may then run units
-     * 0..n-1 in ANY order or concurrently (they touch disjoint layers
-     * and buffers — the advance() disjointness argument unchanged)
-     * and must finish with completeRound(), which ages the pipeline
-     * and retires completed tokens on the calling thread, in feed
-     * order. Serial mode yields one whole-token unit per round. A
-     * round opened by collectUnits() must be completed before the
-     * next collectUnits()/advance() (PADE_CHECKed); unit-level busy
-     * telemetry is recorded here, round/capacity accounting is the
-     * caller's (it knows the global round width).
-     */
-    int collectUnits();
-    /** Run unit @p u of the round collectUnits() opened; @p pool fans
-     *  the unit's internal KV-head reduction only. */
-    void runCollectedUnit(int u, ThreadPool *pool = nullptr);
-    void completeRound();
 
     /** advance() until queue and pipeline are empty. */
     void drain(ThreadPool *pool = nullptr);
@@ -263,8 +232,6 @@ class ModelEngine
     std::vector<Flight> spares_;
     int fed_ = 0;
     int completed_ = 0;
-    /** True between collectUnits() and completeRound(). */
-    bool round_open_ = false;
 };
 
 } // namespace pade

@@ -67,7 +67,7 @@ formatServingReport(std::string_view label, const ServingReport &r)
                 static_cast<double>(r.prefix_bytes_saved) / 1e6);
     if (!r.telemetry.empty() && r.kv_bytes_per_token > 0.0)
         appendf(out,
-                "%.*s: pipeline bubble %.1f%%, %.0f KV bytes/token\n",
+                "%.*s: lanes idle %.1f%%, %.0f KV bytes/token\n",
                 lbl, l, r.pipeline_bubble_ratio * 100.0,
                 r.kv_bytes_per_token);
     return out;

@@ -5,8 +5,9 @@
  * concurrency contracts under real thread contention:
  *
  *  - ContinuousBatcher: many sessions advanced concurrently across a
- *    round share only the RoundAccounting byte counter — outputs must
- *    be bit-identical across thread counts, and TSan must see no
+ *    round share only the pool and the prefix index — outputs and
+ *    schedule-derived aggregates must be bit-identical to the serial
+ *    1-thread oracle at every thread count, and TSan must see no
  *    unsynchronized access;
  *  - ThreadPool: nested parallelFor under heavy contention (the
  *    help-drain path runs on many threads at once);
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/telemetry.h"
 #include "runtime/thread_pool.h"
 #include "serving/continuous_batcher.h"
 #include "serving/decode_engine.h"
@@ -58,9 +60,25 @@ stressTrace(int requests, uint64_t seed)
     return poissonArrivalTrace(ts);
 }
 
+/** Long enough prompts to outgrow runStress's 16+32-token retention
+ *  window, so eviction actually happens. */
+std::vector<ServingRequest>
+windowedTrace()
+{
+    TraceSpec ts;
+    ts.num_requests = 8;
+    ts.rate_per_s = 8000.0;
+    ts.prompt_min = 48;
+    ts.prompt_max = 96;
+    ts.decode_min = 6;
+    ts.decode_max = 12;
+    ts.seed = 90210;
+    return poissonArrivalTrace(ts);
+}
+
 ServingReport
 runStress(const std::vector<ServingRequest> &trace, int threads,
-          bool coschedule = true, bool windowed = false)
+          bool pipeline = true, bool windowed = false)
 {
     BatcherOptions opt;
     opt.threads = threads;
@@ -71,7 +89,7 @@ runStress(const std::vector<ServingRequest> &trace, int threads,
     opt.kv_heads = 2; // GQA: grouped heads share one cache
     opt.head_dim = 32;
     opt.page_tokens = 16; // small pages => frequent page turnover
-    opt.coschedule = coschedule;
+    opt.pipeline = pipeline;
     if (windowed) {
         // Tight sink+recency window: long prompts stream through it,
         // so the windowed scan order and the middle-page reclamation
@@ -127,9 +145,9 @@ TEST(ConcurrencyStress, BatcherManySessionsIdenticalAtThreads2And8)
     }
     EXPECT_EQ(a.tokens_decoded, b.tokens_decoded);
     EXPECT_EQ(a.tokens_prefilled, b.tokens_prefilled);
-    // RoundAccounting folds per-session KV bytes concurrently
-    // (size_t addition commutes) and fixed_round_ms pins the
-    // admission schedule, so the peak is thread-invariant too.
+    // Resident KV bytes are summed after each round's barrier and
+    // fixed_round_ms pins the admission schedule, so the peak is
+    // thread-invariant too.
     EXPECT_EQ(a.peak_cache_bytes, b.peak_cache_bytes);
     EXPECT_EQ(a.peak_active, b.peak_active);
     EXPECT_EQ(a.rounds, b.rounds);
@@ -150,53 +168,61 @@ TEST(ConcurrencyStress, BatcherRepeatedRoundsStayDeterministic)
     }
 }
 
+// The batcher's differential oracle: same trace, same fixed virtual
+// clock — sessions co-scheduled in one parallel round, at every thread
+// count, must reproduce the 1-thread serial-engine run's outputs AND
+// its schedule-derived aggregates (peak KV bytes, peak co-residency,
+// round count) exactly. On a multi-core host the widths cross every
+// round shape: inline (1 thread), sessions with nested engine fan-outs
+// (fewer sessions than lanes), and sessions filling the lanes.
+void
+expectMatchesSerialOracleAtEveryWidth(
+    const std::vector<ServingRequest> &trace, bool windowed)
+{
+    const ServingReport oracle =
+        runStress(trace, 1, /*pipeline=*/false, windowed);
+    for (const int threads : {1, 2, 4, 8}) {
+        SCOPED_TRACE(threads);
+        expectReportsIdentical(
+            oracle, runStress(trace, threads, /*pipeline=*/true, windowed),
+            trace.size());
+    }
+}
+
 TEST(ConcurrencyStress, CoscheduledMatchesPerSessionAtThreads128)
 {
-    // The co-scheduler's differential oracle: same trace, same fixed
-    // virtual clock — the co-scheduled global waves must reproduce
-    // the per-session schedule's outputs AND its schedule-derived
-    // aggregates (peak KV bytes, peak co-residency, round count)
-    // exactly, at every thread count. Units of distinct sessions are
-    // disjoint and each engine sees its own round sequence either
-    // way, so any mismatch is a real sharing bug.
-    const std::vector<ServingRequest> trace = stressTrace(12, 515);
-    for (const int threads : {1, 2, 8}) {
-        SCOPED_TRACE(threads);
-        const ServingReport per =
-            runStress(trace, threads, /*coschedule=*/false);
-        const ServingReport co =
-            runStress(trace, threads, /*coschedule=*/true);
-        expectReportsIdentical(per, co, trace.size());
-    }
+    // Retention off. The name predates the single round schedule:
+    // "co-scheduled" sessions are those sharing one parallel round,
+    // checked against the serial oracle at widths 1, 2, 4 and 8.
+    expectMatchesSerialOracleAtEveryWidth(stressTrace(12, 515),
+                                          /*windowed=*/false);
 }
 
 TEST(ConcurrencyStress, CoscheduledWindowedRetentionMatchesPerSession)
 {
-    // Windowed decode (sink+recency scan order, O(window) scratch)
-    // under co-scheduling, against the per-session oracle with the
-    // same retention policy: eviction decisions, page reclamation,
-    // and the windowed scan must all be schedule-invariant. Under
-    // TSan this also races the windowed path's per-head scratch
-    // against the global wave fan-out. Streams must outgrow the
-    // 16+32-token window for eviction to actually happen, so this
-    // trace uses longer prompts than stressTrace().
-    TraceSpec ts;
-    ts.num_requests = 8;
-    ts.rate_per_s = 8000.0;
-    ts.prompt_min = 48;
-    ts.prompt_max = 96;
-    ts.decode_min = 6;
-    ts.decode_max = 12;
-    ts.seed = 90210;
-    const std::vector<ServingRequest> trace = poissonArrivalTrace(ts);
-    for (const int threads : {2, 8}) {
-        SCOPED_TRACE(threads);
-        const ServingReport per = runStress(
-            trace, threads, /*coschedule=*/false, /*windowed=*/true);
-        const ServingReport co = runStress(
-            trace, threads, /*coschedule=*/true, /*windowed=*/true);
-        expectReportsIdentical(per, co, trace.size());
-    }
+    // Retention on: eviction decisions, page reclamation and the
+    // windowed scan order must be schedule-invariant. Under TSan this
+    // also races the windowed path's per-head scratch and page
+    // reclamation against the round fan-out.
+    expectMatchesSerialOracleAtEveryWidth(windowedTrace(),
+                                          /*windowed=*/true);
+}
+
+TEST(ConcurrencyStress, OneWorkerServesOnTheCallingThread)
+{
+    // threads = 1 means one executing thread: the whole serve runs
+    // inline on the caller and hands the pool no task, so 1-worker
+    // timings measure one core. Outputs match a 4-thread serve.
+    if (!obs::kTelemetryEnabled)
+        GTEST_SKIP() << "built with PADE_TELEMETRY=OFF";
+    const std::vector<ServingRequest> trace = stressTrace(12, 2024);
+    const obs::MetricsSnapshot before =
+        obs::Registry::instance().snapshot();
+    const ServingReport one = runStress(trace, 1);
+    const obs::MetricsSnapshot delta = obs::MetricsSnapshot::delta(
+        before, obs::Registry::instance().snapshot());
+    EXPECT_EQ(delta.counter("pool.tasks"), 0u);
+    expectReportsIdentical(one, runStress(trace, 4), trace.size());
 }
 
 // ---------------------------------------------------------------------
