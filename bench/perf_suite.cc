@@ -73,6 +73,7 @@
 
 #include "attention/reference.h"
 #include "bench/common.h"
+#include "common/json_writer.h"
 #include "core/pade_attention.h"
 #include "core/simd/qk_dispatch.h"
 #include "obs/telemetry.h"
@@ -107,84 +108,6 @@ bestMs(int reps, F &&fn)
     }
     return best;
 }
-
-/** Minimal JSON emitter: objects/arrays of already-formatted fields. */
-class Json
-{
-  public:
-    void
-    openObject(const std::string &key = "")
-    {
-        indent(key);
-        out_ += "{\n";
-        depth_++;
-        first_.push_back(true);
-    }
-    void
-    openArray(const std::string &key)
-    {
-        indent(key);
-        out_ += "[\n";
-        depth_++;
-        first_.push_back(true);
-    }
-    void
-    close(bool array = false)
-    {
-        out_ += "\n";
-        depth_--;
-        for (int i = 0; i < depth_; i++)
-            out_ += "  ";
-        out_ += array ? "]" : "}";
-        first_.pop_back();
-        if (!first_.empty())
-            first_.back() = false;
-    }
-    void
-    field(const std::string &key, const std::string &raw)
-    {
-        indent(key);
-        out_ += raw;
-    }
-    void
-    field(const std::string &key, double v)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        field(key, std::string(buf));
-    }
-    void
-    field(const std::string &key, int64_t v)
-    {
-        field(key, std::to_string(v));
-    }
-    void
-    str(const std::string &key, const std::string &v)
-    {
-        field(key, "\"" + v + "\"");
-    }
-
-    const std::string &text() const { return out_; }
-
-  private:
-    void
-    indent(const std::string &key)
-    {
-        if (!first_.empty()) {
-            if (!first_.back())
-                out_ += ",\n";
-            first_.back() = false;
-        }
-        for (int i = 0; i < depth_; i++)
-            out_ += "  ";
-        if (!key.empty())
-            out_ += "\"" + key + "\": ";
-    }
-
-    std::string out_;
-    std::vector<bool> first_;
-    int depth_ = 0;
-};
 
 QuantizedHead
 makeHead(int seq, int bits, int head_dim = 128, int queries = 8,
@@ -383,12 +306,12 @@ main(int argc, char **argv)
            (quick ? "quick" : "full") + ", best of " +
            std::to_string(reps) + ")");
 
-    Json json;
-    json.openObject();
-    json.str("schema", "pade-perf-v1");
-    json.field("quick", std::string(quick ? "true" : "false"));
-    json.field("reps", static_cast<int64_t>(reps));
-    json.field("hardware_threads",
+    JsonWriter json;
+    json.beginObject();
+    json.value("schema", "pade-perf-v1");
+    json.value("quick", quick);
+    json.value("reps", static_cast<int64_t>(reps));
+    json.value("hardware_threads",
                static_cast<int64_t>(ThreadPool::hardwareThreads()));
     int64_t checksum = 0; // defeats dead-code elimination; recorded
 
@@ -405,9 +328,8 @@ main(int argc, char **argv)
     Table t1;
     t1.header({"seq", "bits", "hdim", "scalar ns/pair",
                "popcount ns/pair", "simd ns/pair", "simd/pop"});
-    json.field("simd_available",
-               std::string(qkSimdAvailable() ? "true" : "false"));
-    json.openArray("qk_kernel");
+    json.value("simd_available", qkSimdAvailable());
+    json.beginArray("qk_kernel");
 
     struct QkPoint
     {
@@ -461,18 +383,18 @@ main(int argc, char **argv)
                 Table::num(pop_ms * 1e6 / pairs, 1),
                 Table::num(simd_ms * 1e6 / pairs, 1),
                 Table::num(simd_vs_pop, 2)});
-        json.openObject();
-        json.field("seq", static_cast<int64_t>(seq));
-        json.field("bits", static_cast<int64_t>(bits));
-        json.field("head_dim", static_cast<int64_t>(head_dim));
-        json.field("scalar_ns_per_pair", scalar_ms * 1e6 / pairs);
-        json.field("popcount_ns_per_pair", pop_ms * 1e6 / pairs);
-        json.field("simd_ns_per_pair", simd_ms * 1e6 / pairs);
-        json.field("speedup_pop_vs_scalar", scalar_ms / pop_ms);
-        json.field("speedup_simd_vs_pop", simd_vs_pop);
-        json.close();
+        json.beginObject();
+        json.value("seq", static_cast<int64_t>(seq));
+        json.value("bits", static_cast<int64_t>(bits));
+        json.value("head_dim", static_cast<int64_t>(head_dim));
+        json.value("scalar_ns_per_pair", scalar_ms * 1e6 / pairs);
+        json.value("popcount_ns_per_pair", pop_ms * 1e6 / pairs);
+        json.value("simd_ns_per_pair", simd_ms * 1e6 / pairs);
+        json.value("speedup_pop_vs_scalar", scalar_ms / pop_ms);
+        json.value("speedup_simd_vs_pop", simd_vs_pop);
+        json.endObject();
     }
-    json.close(true);
+    json.endArray();
     t1.print();
 
     // ------------------------------------------------------------------
@@ -484,7 +406,7 @@ main(int argc, char **argv)
     Table t2;
     t2.header({"seq", "scalar ms", "popcount ms", "simd ms",
                "simd/scalar", "keep rate"});
-    json.openArray("pade_attention");
+    json.beginArray("pade_attention");
     for (int seq : quick ? std::vector<int>{1024}
                          : std::vector<int>{1024, 4096}) {
         const QuantizedHead head = makeHead(seq, 8);
@@ -507,18 +429,18 @@ main(int argc, char **argv)
                 Table::num(pop_ms, 2), Table::num(simd_ms, 2),
                 Table::num(scalar_ms / simd_ms, 2),
                 Table::num(keep, 3)});
-        json.openObject();
-        json.field("seq", static_cast<int64_t>(seq));
-        json.field("bits", static_cast<int64_t>(8));
-        json.field("scalar_ms", scalar_ms);
-        json.field("popcount_ms", pop_ms);
-        json.field("simd_ms", simd_ms);
-        json.field("speedup_pop_vs_scalar", scalar_ms / pop_ms);
-        json.field("speedup_simd_vs_scalar", scalar_ms / simd_ms);
-        json.field("keep_rate", keep);
-        json.close();
+        json.beginObject();
+        json.value("seq", static_cast<int64_t>(seq));
+        json.value("bits", static_cast<int64_t>(8));
+        json.value("scalar_ms", scalar_ms);
+        json.value("popcount_ms", pop_ms);
+        json.value("simd_ms", simd_ms);
+        json.value("speedup_pop_vs_scalar", scalar_ms / pop_ms);
+        json.value("speedup_simd_vs_scalar", scalar_ms / simd_ms);
+        json.value("keep_rate", keep);
+        json.endObject();
     }
-    json.close(true);
+    json.endArray();
     t2.print();
 
     // ------------------------------------------------------------------
@@ -527,7 +449,7 @@ main(int argc, char **argv)
     std::printf("\n[3/9] reference attention (oracle path)\n");
     Table t3;
     t3.header({"seq", "queries", "dense ms", "flash ms"});
-    json.openArray("reference");
+    json.beginArray("reference");
     for (int seq : quick ? std::vector<int>{1024}
                          : std::vector<int>{1024, 2048}) {
         WorkloadSpec spec;
@@ -547,14 +469,14 @@ main(int argc, char **argv)
         });
         t3.row({std::to_string(seq), "256", Table::num(dense_ms, 2),
                 Table::num(flash_ms, 2)});
-        json.openObject();
-        json.field("seq", static_cast<int64_t>(seq));
-        json.field("queries", static_cast<int64_t>(256));
-        json.field("dense_ms", dense_ms);
-        json.field("flash_ms", flash_ms);
-        json.close();
+        json.beginObject();
+        json.value("seq", static_cast<int64_t>(seq));
+        json.value("queries", static_cast<int64_t>(256));
+        json.value("dense_ms", dense_ms);
+        json.value("flash_ms", flash_ms);
+        json.endObject();
     }
-    json.close(true);
+    json.endArray();
     t3.print();
 
     // ------------------------------------------------------------------
@@ -586,11 +508,11 @@ main(int argc, char **argv)
                          res.failed);
     });
     std::printf("%zu requests in %.1f ms\n", sweep.size(), sweep_ms);
-    json.openObject("batch_sweep");
-    json.field("requests", static_cast<int64_t>(sweep.size()));
-    json.field("threads", static_cast<int64_t>(sweep_threads));
-    json.field("wall_ms", sweep_ms);
-    json.close();
+    json.beginObject("batch_sweep");
+    json.value("requests", static_cast<int64_t>(sweep.size()));
+    json.value("threads", static_cast<int64_t>(sweep_threads));
+    json.value("wall_ms", sweep_ms);
+    json.endObject();
 
     // ------------------------------------------------------------------
     // 5. Serving decode: incremental KvCache vs full re-pack. The
@@ -604,7 +526,7 @@ main(int argc, char **argv)
     Table t5;
     t5.header({"ctx", "append us/tok", "cached us/tok",
                "repack us/tok", "repack/cached", "decode tok/s"});
-    json.openArray("serving_decode");
+    json.beginArray("serving_decode");
     const int serve_steps = quick ? 6 : 12;
     for (int ctx : quick ? std::vector<int>{512, 1024}
                          : std::vector<int>{1024, 2048, 4096}) {
@@ -615,28 +537,24 @@ main(int argc, char **argv)
         const ServingDecodeCost c =
             measureServingDecode(pt, PadeConfig{});
         checksum += c.pages;
-        // Coarse steady_clock ticks can measure a 0 us cached loop;
-        // keep the ratios finite so the JSON stays parseable.
-        const double cached_us = std::max(c.cached_us_per_tok, 1e-9);
-
         t5.row({std::to_string(ctx),
                 Table::num(c.append_us_per_tok, 2),
                 Table::num(c.cached_us_per_tok, 1),
                 Table::num(c.repack_us_per_tok, 1),
-                Table::num(c.repack_us_per_tok / cached_us, 1),
-                Table::num(1e6 / cached_us, 0)});
-        json.openObject();
-        json.field("ctx", static_cast<int64_t>(ctx));
-        json.field("steps", static_cast<int64_t>(serve_steps));
-        json.field("append_us_per_tok", c.append_us_per_tok);
-        json.field("cached_us_per_tok", c.cached_us_per_tok);
-        json.field("repack_us_per_tok", c.repack_us_per_tok);
-        json.field("repack_vs_cached",
-                   c.repack_us_per_tok / cached_us);
-        json.field("decode_tok_per_s", 1e6 / cached_us);
-        json.close();
+                Table::num(c.repack_us_per_tok / c.cached_us_per_tok, 1),
+                Table::num(1e6 / c.cached_us_per_tok, 0)});
+        json.beginObject();
+        json.value("ctx", static_cast<int64_t>(ctx));
+        json.value("steps", static_cast<int64_t>(serve_steps));
+        json.value("append_us_per_tok", c.append_us_per_tok);
+        json.value("cached_us_per_tok", c.cached_us_per_tok);
+        json.value("repack_us_per_tok", c.repack_us_per_tok);
+        json.value("repack_vs_cached",
+                   c.repack_us_per_tok / c.cached_us_per_tok);
+        json.value("decode_tok_per_s", 1e6 / c.cached_us_per_tok);
+        json.endObject();
     }
-    json.close(true);
+    json.endArray();
     t5.print();
 
     // ------------------------------------------------------------------
@@ -651,7 +569,7 @@ main(int argc, char **argv)
     Table t6;
     t6.header({"heads", "kv", "ratio", "ctx", "layer us/tok",
                "us/tok/head", "vs heads x single", "KV MB"});
-    json.openArray("gqa_decode");
+    json.beginArray("gqa_decode");
     const int gqa_ctx = quick ? 512 : 1024;
     const int gqa_steps = quick ? 6 : 12;
 
@@ -679,19 +597,19 @@ main(int argc, char **argv)
                 Table::num(vs_single, 3),
                 Table::num(static_cast<double>(c.kv_bytes) / 1e6,
                            2)});
-        json.openObject();
-        json.field("heads", static_cast<int64_t>(heads));
-        json.field("kv_heads", static_cast<int64_t>(kv_heads));
-        json.field("ctx", static_cast<int64_t>(gqa_ctx));
-        json.field("steps", static_cast<int64_t>(gqa_steps));
-        json.field("layer_us_per_tok", c.layer_us_per_tok);
-        json.field("us_per_tok_per_head",
+        json.beginObject();
+        json.value("heads", static_cast<int64_t>(heads));
+        json.value("kv_heads", static_cast<int64_t>(kv_heads));
+        json.value("ctx", static_cast<int64_t>(gqa_ctx));
+        json.value("steps", static_cast<int64_t>(gqa_steps));
+        json.value("layer_us_per_tok", c.layer_us_per_tok);
+        json.value("us_per_tok_per_head",
                    c.layer_us_per_tok / heads);
-        json.field("vs_heads_x_single", vs_single);
-        json.field("kv_bytes", static_cast<int64_t>(c.kv_bytes));
-        json.close();
+        json.value("vs_heads_x_single", vs_single);
+        json.value("kv_bytes", static_cast<int64_t>(c.kv_bytes));
+        json.endObject();
     }
-    json.close(true);
+    json.endArray();
     t6.print();
 
     // ------------------------------------------------------------------
@@ -706,7 +624,7 @@ main(int argc, char **argv)
     Table t7;
     t7.header({"layers", "serial us/tok", "pipelined us/tok",
                "wall speedup", "round speedup"});
-    json.openArray("model_pipeline");
+    json.beginArray("model_pipeline");
     {
         const int ctx = quick ? 192 : 384;
         const int steps = quick ? 16 : 32;
@@ -730,22 +648,22 @@ main(int argc, char **argv)
                     Table::num(serial.us_per_tok / piped.us_per_tok,
                                2),
                     Table::num(round_speedup, 2)});
-            json.openObject();
-            json.field("layers", static_cast<int64_t>(layers));
-            json.field("ctx", static_cast<int64_t>(ctx));
-            json.field("decode_steps", static_cast<int64_t>(steps));
-            json.field("serial_us_per_tok", serial.us_per_tok);
-            json.field("pipelined_us_per_tok", piped.us_per_tok);
-            json.field("serial_rounds", serial.rounds);
-            json.field("pipelined_rounds", piped.rounds);
-            json.field("wall_speedup",
+            json.beginObject();
+            json.value("layers", static_cast<int64_t>(layers));
+            json.value("ctx", static_cast<int64_t>(ctx));
+            json.value("decode_steps", static_cast<int64_t>(steps));
+            json.value("serial_us_per_tok", serial.us_per_tok);
+            json.value("pipelined_us_per_tok", piped.us_per_tok);
+            json.value("serial_rounds", serial.rounds);
+            json.value("pipelined_rounds", piped.rounds);
+            json.value("wall_speedup",
                        serial.us_per_tok / piped.us_per_tok);
-            json.field("round_speedup_pipelined_vs_serial",
+            json.value("round_speedup_pipelined_vs_serial",
                        round_speedup);
-            json.close();
+            json.endObject();
         }
     }
-    json.close(true);
+    json.endArray();
     t7.print();
 
     {
@@ -804,29 +722,28 @@ main(int argc, char **argv)
                     match ? "MATCH" : "MISMATCH",
                     cold_ms, warm_ms);
 
-        json.openObject("prefix_cache");
-        json.field("requests",
+        json.beginObject("prefix_cache");
+        json.value("requests",
                    static_cast<int64_t>(trace.size()));
-        json.field("prefix_groups",
+        json.value("prefix_groups",
                    static_cast<int64_t>(ts.prefix_groups));
-        json.field("prefix_tokens",
+        json.value("prefix_tokens",
                    static_cast<int64_t>(ts.prefix_tokens));
-        json.field("cold_wall_ms", cold_ms);
-        json.field("warm_wall_ms", warm_ms);
-        json.field("tokens_prefilled",
+        json.value("cold_wall_ms", cold_ms);
+        json.value("warm_wall_ms", warm_ms);
+        json.value("tokens_prefilled",
                    static_cast<int64_t>(warm.tokens_prefilled));
-        json.field("tokens_prefix_hit",
+        json.value("tokens_prefix_hit",
                    static_cast<int64_t>(warm.tokens_prefix_hit));
-        json.field("hit_rate", hit_rate);
-        json.field("prefix_bytes_saved",
+        json.value("hit_rate", hit_rate);
+        json.value("prefix_bytes_saved",
                    static_cast<int64_t>(warm.prefix_bytes_saved));
-        json.field("index_published",
+        json.value("index_published",
                    static_cast<int64_t>(warm.prefix.published));
-        json.field("index_hit_pages",
+        json.value("index_hit_pages",
                    static_cast<int64_t>(warm.prefix.hit_pages));
-        json.field("checksum_match",
-                   std::string(match ? "true" : "false"));
-        json.close();
+        json.value("checksum_match", match);
+        json.endObject();
     }
 
     // ------------------------------------------------------------------
@@ -868,18 +785,16 @@ main(int argc, char **argv)
                     overhead_pct,
                     static_cast<unsigned long long>(tstats.recorded));
 
-        json.openObject("telemetry_overhead");
-        json.field("telemetry_compiled",
-                   std::string(obs::kTelemetryEnabled ? "true"
-                                                      : "false"));
-        json.field("ctx", static_cast<int64_t>(ctx));
-        json.field("decode_steps", static_cast<int64_t>(steps));
-        json.field("us_per_tok_spans_off", spans_off.us_per_tok);
-        json.field("us_per_tok_spans_on", spans_on.us_per_tok);
-        json.field("overhead_pct", overhead_pct);
-        json.field("trace_events_recorded",
+        json.beginObject("telemetry_overhead");
+        json.value("telemetry_compiled", obs::kTelemetryEnabled);
+        json.value("ctx", static_cast<int64_t>(ctx));
+        json.value("decode_steps", static_cast<int64_t>(steps));
+        json.value("us_per_tok_spans_off", spans_off.us_per_tok);
+        json.value("us_per_tok_spans_on", spans_on.us_per_tok);
+        json.value("overhead_pct", overhead_pct);
+        json.value("trace_events_recorded",
                    static_cast<int64_t>(tstats.recorded));
-        json.close();
+        json.endObject();
     }
 
     // ------------------------------------------------------------------
@@ -966,7 +881,7 @@ main(int argc, char **argv)
         Table t9a;
         t9a.header({"shape", "wall ms (median)", "q1..q3 ms",
                     "lanes idle", "oracle match"});
-        json.openArray("batcher_rounds");
+        json.beginArray("batcher_rounds");
         for (RoundShape &shape : shapes) {
             shape.opt.max_active = 8;
             shape.opt.layers = 2;
@@ -1005,26 +920,25 @@ main(int argc, char **argv)
                      Table::num(q1, 1) + ".." + Table::num(q3, 1),
                      Table::num(idle_med, 3), match ? "yes" : "NO"});
 
-            json.openObject();
-            json.str("shape", shape.name);
-            json.field("requests",
+            json.beginObject();
+            json.value("shape", shape.name);
+            json.value("requests",
                        static_cast<int64_t>(trace.size()));
-            json.field("slots",
+            json.value("slots",
                        static_cast<int64_t>(shape.opt.max_active));
-            json.field("layers",
+            json.value("layers",
                        static_cast<int64_t>(shape.opt.layers));
-            json.field("threads",
+            json.value("threads",
                        static_cast<int64_t>(shape.opt.threads));
-            json.field("reps", static_cast<int64_t>(round_reps));
-            json.field("wall_ms_median", med);
-            json.field("wall_ms_q1", q1);
-            json.field("wall_ms_q3", q3);
-            json.field("lane_idle_ratio", idle_med);
-            json.field("checksum_match",
-                       std::string(match ? "true" : "false"));
-            json.close();
+            json.value("reps", static_cast<int64_t>(round_reps));
+            json.value("wall_ms_median", med);
+            json.value("wall_ms_q1", q1);
+            json.value("wall_ms_q3", q3);
+            json.value("lane_idle_ratio", idle_med);
+            json.value("checksum_match", match);
+            json.endObject();
         }
-        json.close(true);
+        json.endArray();
         t9a.print();
     }
     {
@@ -1036,7 +950,7 @@ main(int argc, char **argv)
         const int win_steps = quick ? 32 : 96;
         Table t9;
         t9.header({"ctx", "window", "decode us/tok"});
-        json.openArray("windowed_decode");
+        json.beginArray("windowed_decode");
         // Interleave the two contexts across reps (4k, 16k, 4k, ...):
         // the flatness ratio must compare like conditions, not
         // whichever context drew the quiet window.
@@ -1056,35 +970,31 @@ main(int argc, char **argv)
             t9.row({std::to_string(ctxs[i]),
                     std::to_string(rp.sink_tokens + rp.recency_tokens),
                     Table::num(best_us[i], 1)});
-            json.openObject();
-            json.field("ctx", static_cast<int64_t>(ctxs[i]));
-            json.field("sink_tokens",
+            json.beginObject();
+            json.value("ctx", static_cast<int64_t>(ctxs[i]));
+            json.value("sink_tokens",
                        static_cast<int64_t>(rp.sink_tokens));
-            json.field("recency_tokens",
+            json.value("recency_tokens",
                        static_cast<int64_t>(rp.recency_tokens));
-            json.field("decode_us_per_tok", best_us[i]);
-            json.close();
+            json.value("decode_us_per_tok", best_us[i]);
+            json.endObject();
         }
-        json.close(true);
+        json.endArray();
         t9.print();
-        const double flatness =
-            us_large / std::max(us_small, 1e-9);
+        const double flatness = us_large / us_small;
         std::printf("windowed decode us/tok at 16384 vs 4096 ctx: "
                     "%.2fx (flat target: within 10%%)\n",
                     flatness);
-        json.field("windowed_decode_flatness_16k_vs_4k", flatness);
+        json.value("windowed_decode_flatness_16k_vs_4k", flatness);
     }
 
-    json.field("checksum", checksum);
-    json.close();
+    json.value("checksum", checksum);
+    json.endObject();
 
-    FILE *f = std::fopen(out_path.c_str(), "w");
-    if (!f) {
+    if (!writeTextFile(out_path, json.str() + '\n')) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
         return 1;
     }
-    std::fprintf(f, "%s\n", json.text().c_str());
-    std::fclose(f);
     std::printf("\nwrote %s\n", out_path.c_str());
     return 0;
 }

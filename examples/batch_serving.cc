@@ -28,8 +28,9 @@
  * stats next to it (<trace>.stats.json), so one flag produces both
  * artifacts.
  *
- * Exit status is nonzero if the two runs' token checksums diverge or
- * any request fails to finish, so CI can smoke-test the scheduler.
+ * Exit status is nonzero if the two runs' token checksums diverge,
+ * any request fails to finish, or the stats file cannot be written,
+ * so CI can smoke-test the scheduler.
  */
 
 #include <algorithm>
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "common/json_writer.h"
 #include "serving/continuous_batcher.h"
 #include "serving/report_format.h"
 #include "workload/generator.h"
@@ -115,15 +117,12 @@ main(int argc, char **argv)
     std::printf("%s", formatServingReport(label, par).c_str());
 
     if (!stats_file.empty()) {
-        std::FILE *f = std::fopen(stats_file.c_str(), "wb");
-        if (f) {
-            std::fwrite(par.telemetry.data(), 1,
-                        par.telemetry.size(), f);
-            std::fputc('\n', f);
-            std::fclose(f);
-            std::printf("stats snapshot    : %s\n",
-                        stats_file.c_str());
+        if (!writeTextFile(stats_file, par.telemetry + '\n')) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         stats_file.c_str());
+            return 1;
         }
+        std::printf("stats snapshot    : %s\n", stats_file.c_str());
     }
     if (!trace_file.empty())
         std::printf("chrome trace      : %s (chrome://tracing or "

@@ -3,7 +3,8 @@
  * Minimal command-line flag parser for benches and examples.
  *
  * Supports "--name=value" and "--name value" forms plus boolean
- * "--flag". Unrecognized flags are reported via errors().
+ * "--flag". Unknown flags are kept and simply never read; values
+ * that do not parse as numbers read as 0.
  */
 
 #ifndef PADE_COMMON_CLI_H

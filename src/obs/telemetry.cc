@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
+
+#include "common/json_writer.h"
 
 namespace pade::obs {
 
@@ -114,98 +114,38 @@ MetricsSnapshot::delta(const MetricsSnapshot &before,
     return d;
 }
 
-namespace {
-
-/** Appends a double as a JSON-legal number (non-finite becomes 0). */
-void
-appendNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-}
-
-void
-appendQuoted(std::string &out, std::string_view s)
-{
-    out += '"';
-    // Metric names are code-controlled [a-z0-9._]; escape defensively
-    // anyway so a stray name can never break the document.
-    for (const char c : s)
-    {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue;
-        out += c;
-    }
-    out += '"';
-}
-
-} // namespace
-
 std::string
 MetricsSnapshot::toJson() const
 {
-    std::string out;
-    out.reserve(1024);
-    out += "{\"schema\":\"pade-metrics-v1\",\"enabled\":";
-    out += kTelemetryEnabled ? "true" : "false";
-    out += ",\"counters\":{";
-    bool first = true;
+    JsonWriter w;
+    w.beginObject();
+    w.value("schema", "pade-metrics-v1");
+    w.value("enabled", kTelemetryEnabled);
+    w.beginObject("counters");
     for (const auto &[name, v] : counters)
-    {
-        if (!first)
-            out += ',';
-        first = false;
-        appendQuoted(out, name);
-        char buf[24];
-        std::snprintf(buf, sizeof buf, ":%" PRIu64, v);
-        out += buf;
-    }
-    out += "},\"gauges\":{";
-    first = true;
+        w.value(name, v);
+    w.endObject();
+    w.beginObject("gauges");
     for (const auto &[name, v] : gauges)
-    {
-        if (!first)
-            out += ',';
-        first = false;
-        appendQuoted(out, name);
-        out += ':';
-        appendNumber(out, v);
-    }
-    out += "},\"histograms\":{";
-    first = true;
+        w.value(name, v);
+    w.endObject();
+    w.beginObject("histograms");
     for (const auto &[name, h] : histograms)
     {
-        if (!first)
-            out += ',';
-        first = false;
-        appendQuoted(out, name);
-        char buf[32];
-        std::snprintf(buf, sizeof buf, ":{\"count\":%" PRIu64,
-                      h.count);
-        out += buf;
-        out += ",\"sum\":";
-        appendNumber(out, h.sum);
-        out += ",\"mean\":";
-        appendNumber(out, h.mean());
-        out += ",\"max\":";
-        appendNumber(out, h.max);
-        out += ",\"p50\":";
-        appendNumber(out, h.percentile(0.50));
-        out += ",\"p95\":";
-        appendNumber(out, h.percentile(0.95));
-        out += ",\"p99\":";
-        appendNumber(out, h.percentile(0.99));
-        out += ",\"p999\":";
-        appendNumber(out, h.percentile(0.999));
-        out += '}';
+        w.beginObject(name);
+        w.value("count", h.count);
+        w.value("sum", h.sum);
+        w.value("mean", h.mean());
+        w.value("max", h.max);
+        w.value("p50", h.percentile(0.50));
+        w.value("p95", h.percentile(0.95));
+        w.value("p99", h.percentile(0.99));
+        w.value("p999", h.percentile(0.999));
+        w.endObject();
     }
-    out += "}}";
-    return out;
+    w.endObject();
+    w.endObject();
+    return w.str();
 }
 
 Registry &
@@ -283,12 +223,6 @@ Registry::snapshot() const
         snap.histograms.emplace_back(name, stat);
     }
     return snap;
-}
-
-std::string
-statsSnapshotJson()
-{
-    return Registry::instance().snapshot().toJson();
 }
 
 } // namespace pade::obs

@@ -286,9 +286,6 @@ class Registry
         histograms_ PADE_GUARDED_BY(mu_);
 };
 
-/** Registry::instance().snapshot().toJson() — the stats exporter. */
-std::string statsSnapshotJson();
-
 } // namespace pade::obs
 
 #endif // PADE_OBS_TELEMETRY_H

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/thread_annotations.h"
 #include "runtime/mutex.h"
 
@@ -185,56 +184,26 @@ traceStats()
 namespace {
 
 void
-appendEscaped(std::string &out, const char *s)
+writeEvent(JsonWriter &w, uint32_t tid, const TraceEvent &e)
 {
-    for (; *s != '\0'; ++s)
-    {
-        if (*s == '"' || *s == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(*s) < 0x20)
-            continue;
-        out += *s;
-    }
-}
-
-void
-appendEvent(std::string &out, uint32_t tid, const TraceEvent &e)
-{
-    char buf[96];
-    out += "{\"name\":\"";
-    appendEscaped(out, e.name);
-    out += "\",\"ph\":\"";
-    out += e.phase;
-    out += '"';
+    w.beginObject();
+    w.value("name", e.name);
+    w.value("ph", std::string_view(&e.phase, 1));
     if (e.phase == 'i')
-        out += ",\"s\":\"t\""; // thread-scoped instant
-    std::snprintf(buf, sizeof buf, ",\"ts\":%.3f",
-                  static_cast<double>(e.start_ns) / 1000.0);
-    out += buf;
+        w.value("s", "t"); // thread-scoped instant
+    w.value("ts", static_cast<double>(e.start_ns) / 1000.0);
     if (e.phase == 'X')
-    {
-        std::snprintf(buf, sizeof buf, ",\"dur\":%.3f",
-                      static_cast<double>(e.dur_ns) / 1000.0);
-        out += buf;
-    }
-    std::snprintf(buf, sizeof buf, ",\"pid\":1,\"tid\":%u", tid);
-    out += buf;
+        w.value("dur", static_cast<double>(e.dur_ns) / 1000.0);
+    w.value("pid", int64_t{1});
+    w.value("tid", uint64_t{tid});
     if (e.nargs > 0)
     {
-        out += ",\"args\":{";
+        w.beginObject("args");
         for (int i = 0; i < e.nargs; ++i)
-        {
-            if (i > 0)
-                out += ',';
-            out += '"';
-            appendEscaped(out, e.args[i].key);
-            std::snprintf(buf, sizeof buf, "\":%" PRId64,
-                          e.args[i].value);
-            out += buf;
-        }
-        out += '}';
+            w.value(e.args[i].key, e.args[i].value);
+        w.endObject();
     }
-    out += '}';
+    w.endObject();
 }
 
 } // namespace
@@ -265,33 +234,15 @@ chromeTraceJson()
                   return a.tid < b.tid;
               });
 
-    std::string out;
-    out.reserve(events.size() * 96 + 64);
-    out += "{\"traceEvents\":[";
-    for (std::size_t i = 0; i < events.size(); ++i)
-    {
-        if (i > 0)
-            out += ',';
-        out += '\n';
-        appendEvent(out, events[i].tid, events[i].e);
-    }
-    out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-    return out;
-}
-
-bool
-writeChromeTrace(const std::string &path)
-{
-    const std::string json = chromeTraceJson();
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr)
-        return false;
-    const std::size_t n =
-        std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = n == json.size() && std::fclose(f) == 0;
-    if (n != json.size())
-        std::fclose(f);
-    return ok;
+    JsonWriter w;
+    w.beginObject();
+    w.beginArray("traceEvents");
+    for (const Tagged &t : events)
+        writeEvent(w, t.tid, t.e);
+    w.endArray();
+    w.value("displayTimeUnit", "ms");
+    w.endObject();
+    return w.str() + '\n';
 }
 
 } // namespace pade::obs

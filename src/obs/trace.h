@@ -162,9 +162,6 @@ class ScopedSpan
  */
 std::string chromeTraceJson();
 
-/** Writes chromeTraceJson() to @p path; false on I/O failure. */
-bool writeChromeTrace(const std::string &path);
-
 } // namespace pade::obs
 
 #endif // PADE_OBS_TRACE_H

@@ -6,12 +6,11 @@
 #include <memory>
 #include <optional>
 
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <string>
 
 #include "common/check.h"
+#include "common/json_writer.h"
 #include "common/rng.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -40,17 +39,6 @@ mixMatrix(uint64_t acc, const MatrixF &m)
     return acc;
 }
 
-/** Appends a JSON-legal number (non-finite would break json.tool). */
-void
-appendJsonNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v))
-        v = 0.0;
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out += buf;
-}
-
 /**
  * The ServingReport::telemetry blob: the run's registry delta plus
  * the derived ratios ROADMAP items 2 and 4 asked for, one JSON
@@ -61,34 +49,21 @@ std::string
 telemetryReportJson(const obs::MetricsSnapshot &delta,
                     const ServingReport &report)
 {
-    std::string out;
-    out.reserve(2048);
-    out += "{\"schema\":\"pade-serving-telemetry-v1\",\"enabled\":";
-    out += obs::kTelemetryEnabled ? "true" : "false";
-    out += ",\"derived\":{\"pipeline_bubble_ratio\":";
-    appendJsonNumber(out, report.pipeline_bubble_ratio);
-    out += ",\"kv_bytes_per_token\":";
-    appendJsonNumber(out, report.kv_bytes_per_token);
-    char buf[64];
-    std::snprintf(buf, sizeof buf,
-                  ",\"prefix_lookups\":%" PRIu64,
-                  delta.counter("prefix.lookups"));
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  ",\"prefix_hit_pages\":%" PRIu64,
-                  delta.counter("prefix.hit_pages"));
-    out += buf;
-    std::snprintf(buf, sizeof buf,
-                  ",\"prefix_evictions\":%" PRIu64,
-                  delta.counter("prefix.evictions"));
-    out += buf;
-    std::snprintf(buf, sizeof buf, ",\"pool_steals\":%" PRIu64,
-                  delta.counter("pool.steals"));
-    out += buf;
-    out += "},\"metrics\":";
-    out += delta.toJson();
-    out += '}';
-    return out;
+    JsonWriter w;
+    w.beginObject();
+    w.value("schema", "pade-serving-telemetry-v1");
+    w.value("enabled", obs::kTelemetryEnabled);
+    w.beginObject("derived");
+    w.value("pipeline_bubble_ratio", report.pipeline_bubble_ratio);
+    w.value("kv_bytes_per_token", report.kv_bytes_per_token);
+    w.value("prefix_lookups", delta.counter("prefix.lookups"));
+    w.value("prefix_hit_pages", delta.counter("prefix.hit_pages"));
+    w.value("prefix_evictions", delta.counter("prefix.evictions"));
+    w.value("pool_steals", delta.counter("pool.steals"));
+    w.endObject();
+    w.raw("metrics", delta.toJson());
+    w.endObject();
+    return w.str();
 }
 
 /** Lane capacity of the run's batcher rounds (lanes x round wall);
@@ -603,7 +578,9 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
     report.telemetry = telemetryReportJson(metrics_delta, report);
     if (!opt_.trace_file.empty()) {
         obs::setTraceEnabled(false);
-        obs::writeChromeTrace(opt_.trace_file);
+        if (!writeTextFile(opt_.trace_file, obs::chromeTraceJson()))
+            std::fprintf(stderr, "cannot write trace file %s\n",
+                         opt_.trace_file.c_str());
     }
     return report;
 }

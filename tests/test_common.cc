@@ -1,11 +1,19 @@
 /**
  * @file
- * Unit tests for the common substrate: RNG, stats, table, CLI, math.
+ * Unit tests for the common substrate: RNG, stats, table, CLI, math,
+ * JSON writer.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "common/cli.h"
+#include "common/json_writer.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -243,6 +251,98 @@ TEST(Cli, BoolFalseString)
     const char *argv[] = {"prog", "--flag=false"};
     Cli cli(2, const_cast<char **>(argv));
     EXPECT_FALSE(cli.getBool("flag", true));
+}
+
+TEST(JsonWriter, NestingAndCommas)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.value("a", int64_t{1});
+    w.beginObject("empty_obj");
+    w.endObject();
+    w.beginArray("empty_arr");
+    w.endArray();
+    w.beginArray("rows");
+    w.beginObject();
+    w.value("x", true);
+    w.value("y", false);
+    w.endObject();
+    w.value(int64_t{-2});
+    w.beginArray();
+    w.value("s");
+    w.endArray();
+    w.endArray();
+    w.value("z", "end");
+    w.endObject();
+    EXPECT_EQ(w.str(),
+              "{\"a\":1,\"empty_obj\":{},\"empty_arr\":[],\"rows\":[\n"
+              "{\"x\":true,\"y\":false},\n"
+              "-2,\n"
+              "[\n\"s\"\n]\n"
+              "],\"z\":\"end\"}");
+}
+
+TEST(JsonWriter, EscapesStringsAndKeys)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.value("k\"\\", "q\"b\\n\nc\x01");
+    w.endObject();
+    EXPECT_EQ(w.str(),
+              "{\"k\\\"\\\\\":\"q\\\"b\\\\n\\u000ac\\u0001\"}");
+}
+
+TEST(JsonWriter, Numbers)
+{
+    JsonWriter w;
+    w.beginArray();
+    w.value(std::nan(""));
+    w.value(std::numeric_limits<double>::infinity());
+    w.value(-std::numeric_limits<double>::infinity());
+    w.value(std::numeric_limits<uint64_t>::max());
+    w.value(std::numeric_limits<int64_t>::min());
+    w.value(0.1);
+    w.value(1.0 / 3.0);
+    w.value(2.5e-7);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[\n0,\n0,\n0,\n18446744073709551615,\n"
+                       "-9223372036854775808,\n0.1,\n"
+                       "0.3333333333333333,\n2.5e-07\n]");
+    // Shortest round-trip: parsing the text gives the same double.
+    JsonWriter third;
+    third.value(1.0 / 3.0);
+    EXPECT_EQ(std::stod(third.str()), 1.0 / 3.0);
+}
+
+TEST(JsonWriter, RawEmbedsDocument)
+{
+    JsonWriter inner;
+    inner.beginObject();
+    inner.value("n", uint64_t{7});
+    inner.endObject();
+    JsonWriter w;
+    w.beginObject();
+    w.value("schema", "s");
+    w.raw("inner", inner.str());
+    w.value("after", 1.5);
+    w.endObject();
+    EXPECT_EQ(w.str(),
+              "{\"schema\":\"s\",\"inner\":{\"n\":7},\"after\":1.5}");
+}
+
+TEST(JsonWriter, WriteTextFile)
+{
+    const std::string path = testing::TempDir() + "pade_json_writer.txt";
+    ASSERT_TRUE(writeTextFile(path, "{}\n"));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char buf[8] = {};
+    EXPECT_EQ(std::fread(buf, 1, sizeof buf, f), 3u);
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_STREQ(buf, "{}\n");
+    EXPECT_FALSE(writeTextFile(
+        testing::TempDir() + "pade_no_such_dir/x.json", "{}"));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "arch/pade_accelerator.h"
 #include "attention/metrics.h"
@@ -25,6 +26,15 @@ struct SweepParam
     int head_dim;
     int bits;
 };
+
+/** Names each instance by value; gtest's default prints the raw
+ *  bytes, padding included, so test IDs would differ between builds. */
+void
+PrintTo(const SweepParam &p, std::ostream *os)
+{
+    *os << "seed" << p.seed << "_seq" << p.seq << "_hd" << p.head_dim
+        << "_b" << p.bits;
+}
 
 class PipelineSweep : public ::testing::TestWithParam<SweepParam>
 {

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
@@ -170,7 +171,7 @@ TEST(ObsSnapshot, JsonIsWellFormed)
     Registry::instance().counter("test.ctr_json").add(3);
     Registry::instance().gauge("test.gauge_json").set(1.25);
     Registry::instance().histogram("test.hist_json").record(7.0);
-    const std::string json = obs::statsSnapshotJson();
+    const std::string json = Registry::instance().snapshot().toJson();
     ASSERT_FALSE(json.empty());
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
@@ -283,7 +284,7 @@ TEST(ObsTrace, WritesParseableFile)
 
     const std::string path =
         testing::TempDir() + "pade_test_trace.json";
-    ASSERT_TRUE(obs::writeChromeTrace(path));
+    ASSERT_TRUE(writeTextFile(path, obs::chromeTraceJson()));
     std::FILE *f = std::fopen(path.c_str(), "rb");
     ASSERT_NE(f, nullptr);
     std::string content;
@@ -367,9 +368,10 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ObsStress,
 // Bit-identity: recording must never perturb computation.
 // ---------------------------------------------------------------------
 
-TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
+/** A small two-layer serving trace for the traced-vs-plain tests. */
+std::vector<ServingRequest>
+identityTrace()
 {
-    TraceSandbox sandbox;
     TraceSpec ts;
     ts.num_requests = 6;
     ts.rate_per_s = 500.0;
@@ -378,8 +380,12 @@ TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
     ts.decode_min = 2;
     ts.decode_max = 6;
     ts.seed = 99;
-    const std::vector<ServingRequest> trace = poissonArrivalTrace(ts);
+    return poissonArrivalTrace(ts);
+}
 
+BatcherOptions
+identityOptions()
+{
     BatcherOptions opt;
     opt.threads = 2;
     opt.max_active = 3;
@@ -389,6 +395,14 @@ TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
     opt.kv_heads = 1;
     opt.head_dim = 32;
     opt.fixed_round_ms = 1.0;
+    return opt;
+}
+
+TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
+{
+    TraceSandbox sandbox;
+    const std::vector<ServingRequest> trace = identityTrace();
+    BatcherOptions opt = identityOptions();
 
     const ServingReport plain = ContinuousBatcher(opt).run(trace);
     opt.trace_file =
@@ -417,6 +431,25 @@ TEST(ObsBitIdentity, BatcherChecksumsUnchangedByTracing)
         std::string::npos);
     EXPECT_NE(traced.telemetry.find("\"kv_bytes_per_token\""),
               std::string::npos);
+}
+
+TEST(ObsBitIdentity, UnwritableTraceFileIsReportedAndServes)
+{
+    TraceSandbox sandbox;
+    const std::vector<ServingRequest> trace = identityTrace();
+    BatcherOptions opt = identityOptions();
+
+    const ServingReport plain = ContinuousBatcher(opt).run(trace);
+    opt.trace_file = testing::TempDir() + "pade_no_such_dir/t.json";
+    testing::internal::CaptureStderr();
+    const ServingReport traced = ContinuousBatcher(opt).run(trace);
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(plain.checksum, traced.checksum);
+    EXPECT_EQ(plain.prefill_checksum, traced.prefill_checksum);
+    EXPECT_NE(err.find("cannot write trace file " + opt.trace_file),
+              std::string::npos)
+        << err;
 }
 
 TEST(ObsBitIdentity, LayerOutputsAndPruneStatsUnchangedByTracing)
@@ -542,8 +575,9 @@ TEST(ObsWiring, ServingRunPopulatesSubsystemCounters)
     // The batcher clamps its fan-out to the hardware width: on a
     // single-core host every round legitimately runs inline on the
     // scheduler thread and the run may submit no pool tasks at all.
-    if (ThreadPool::hardwareThreads() > 1)
+    if (ThreadPool::hardwareThreads() > 1) {
         EXPECT_GT(d.counter("pool.tasks"), 0u);
+    }
     const HistogramStat *lat = d.histogram("serving.latency_us");
     ASSERT_NE(lat, nullptr);
     EXPECT_EQ(lat->count, 4u);
