@@ -29,8 +29,8 @@
  * artifacts.
  *
  * Exit status is nonzero if the two runs' token checksums diverge,
- * any request fails to finish, or the stats file cannot be written,
- * so CI can smoke-test the scheduler.
+ * any request fails to finish, or the trace or stats file cannot be
+ * written, so CI can smoke-test the scheduler.
  */
 
 #include <algorithm>
@@ -124,10 +124,16 @@ main(int argc, char **argv)
         }
         std::printf("stats snapshot    : %s\n", stats_file.c_str());
     }
-    if (!trace_file.empty())
+    if (!trace_file.empty()) {
+        if (!par.trace_written) {
+            std::fprintf(stderr, "cannot write %s\n",
+                         trace_file.c_str());
+            return 1;
+        }
         std::printf("chrome trace      : %s (chrome://tracing or "
                     "ui.perfetto.dev)\n",
                     trace_file.c_str());
+    }
 
     // Real completion gate: every prompt token prefilled and every
     // requested token decoded, in both runs, per the trace itself.

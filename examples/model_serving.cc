@@ -32,6 +32,7 @@
 
 #include "bench/common.h"
 #include "common/rng.h"
+#include "core/simd/qk_dispatch.h"
 #include "serving/kv_cache.h"
 #include "serving/layer_engine.h"
 #include "serving/report_format.h"
@@ -137,10 +138,15 @@ main(int argc, char **argv)
     lc.bits = spec.bits;
 
     std::printf("layer: %d query heads on %d KV heads (group %d), "
-                "head_dim %d, prompt %d (+%d decode), chunk %d\n\n",
+                "head_dim %d, prompt %d (+%d decode), chunk %d\n",
                 spec.heads, spec.kv_heads, spec.groupSize(),
                 spec.head_dim, spec.prompt_len, spec.decode_steps,
                 chunk);
+    const QkKernel kernel = resolveQkKernel(lc.pade.qk_kernel);
+    if (kernel == QkKernel::kSimd)
+        std::printf("qk kernel: simd (%s)\n\n", qkSimdIsa());
+    else
+        std::printf("qk kernel: %s\n\n", qkKernelName(kernel));
 
     // Grouped execution, serial and pooled.
     std::size_t grouped_bytes = 0;

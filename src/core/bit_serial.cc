@@ -101,6 +101,28 @@ planeDeltaScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
     return static_cast<int64_t>(keys.planeWeight(plane)) * sum;
 }
 
+void
+prefixScores(const QueryPlanes &q, const BitPlaneSet &keys, int key,
+             int64_t *prefix)
+{
+    int64_t acc = 0;
+    for (int r = 0; r < keys.numPlanes(); r++) {
+        acc += planeDelta(q, keys, key, r);
+        prefix[r] = acc;
+    }
+}
+
+void
+prefixScoresScalar(std::span<const int8_t> q, const BitPlaneSet &keys,
+                   int key, int64_t *prefix)
+{
+    int64_t acc = 0;
+    for (int r = 0; r < keys.numPlanes(); r++) {
+        acc += planeDeltaScalar(q, keys, key, r);
+        prefix[r] = acc;
+    }
+}
+
 int64_t
 planeDeltaBs(std::span<const int8_t> q, const BitPlaneSet &keys, int key,
              int plane, int subgroup)

@@ -85,6 +85,22 @@ int64_t planeDeltaScalar(std::span<const int8_t> q,
                          const BitPlaneSet &keys, int key, int plane);
 
 /**
+ * All prefix scores of key @p key in one call:
+ * prefix[r] = S^r = sum_{p<=r} planeDelta(q, keys, key, p) for
+ * r < keys.numPlanes() — what the guarded attention loop inspects
+ * after each plane (core/key_scan.h, whose PrefixScorer also runs the
+ * kSimd form). @p prefix must hold numPlanes() values. Popcount
+ * kernel, one maskedSum per plane.
+ */
+void prefixScores(const QueryPlanes &q, const BitPlaneSet &keys, int key,
+                  int64_t *prefix);
+
+/** prefixScores() over planeDeltaScalar — the exactness oracle. */
+void prefixScoresScalar(std::span<const int8_t> q,
+                        const BitPlaneSet &keys, int key,
+                        int64_t *prefix);
+
+/**
  * Same value computed the bidirectional way: per sub-group, accumulate
  * the rarer bit value and correct with the sub-group Qsum (Eq. 6).
  * Exists to prove numeric equivalence of the hardware trick; returns

@@ -19,30 +19,4 @@ GuardFilter::GuardFilter(double alpha, double radius, double logit_scale)
         std::llround(alpha * radius / logit_scale));
 }
 
-void
-GuardFilter::observe(int64_t lower_bound)
-{
-    if (!seen_ || lower_bound > max_lb_) {
-        max_lb_ = lower_bound;
-        seen_ = true;
-        updates_++;
-    }
-}
-
-int64_t
-GuardFilter::threshold() const
-{
-    if (!seen_)
-        return std::numeric_limits<int64_t>::min();
-    // Saturating subtraction to avoid wraparound at the sentinel.
-    const int64_t t = max_lb_ - margin_int_;
-    return t > max_lb_ ? std::numeric_limits<int64_t>::min() : t;
-}
-
-bool
-GuardFilter::shouldPrune(int64_t upper_bound) const
-{
-    return seen_ && upper_bound < threshold();
-}
-
 } // namespace pade

@@ -35,13 +35,33 @@ class GuardFilter
     GuardFilter(double alpha, double radius, double logit_scale);
 
     /** Fold a score lower bound into the row max (paper Step 0). */
-    void observe(int64_t lower_bound);
+    void
+    observe(int64_t lower_bound)
+    {
+        if (!seen_ || lower_bound > max_lb_) {
+            max_lb_ = lower_bound;
+            seen_ = true;
+            updates_++;
+        }
+    }
 
     /** Current integer-domain threshold; -inf until first observe. */
-    int64_t threshold() const;
+    int64_t
+    threshold() const
+    {
+        if (!seen_)
+            return std::numeric_limits<int64_t>::min();
+        // Saturating subtraction to avoid wraparound at the sentinel.
+        const int64_t t = max_lb_ - margin_int_;
+        return t > max_lb_ ? std::numeric_limits<int64_t>::min() : t;
+    }
 
     /** True if a key with this upper bound should be pruned. */
-    bool shouldPrune(int64_t upper_bound) const;
+    bool
+    shouldPrune(int64_t upper_bound) const
+    {
+        return seen_ && upper_bound < threshold();
+    }
 
     /** Number of threshold-raising updates (hardware activity). */
     uint64_t updates() const { return updates_; }

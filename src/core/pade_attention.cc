@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/bui.h"
-#include "core/guard_filter.h"
-#include "core/simd/qk_avx2.h"
+#include "core/key_scan.h"
 #include "runtime/thread_pool.h"
 
 namespace pade {
@@ -97,21 +95,6 @@ istaScanOrderInto(int seq_len, int tile, bool head_tail,
     }
 }
 
-PruneStats &
-PruneStats::operator+=(const PruneStats &o)
-{
-    planes_processed += o.planes_processed;
-    planes_total += o.planes_total;
-    keys_retained += o.keys_retained;
-    keys_total += o.keys_total;
-    ops_bs += o.ops_bs;
-    ops_naive += o.ops_naive;
-    max_updates += o.max_updates;
-    rescale_ops += o.rescale_ops;
-    threshold_updates += o.threshold_updates;
-    return *this;
-}
-
 PadeResult
 padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
               PadeWorkspace *ws_in)
@@ -123,7 +106,6 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     // Final kernel decision: config request + PADE_QK_KERNEL override
     // + capability clamp (kSimd degrades to kPopcount off-AVX2).
     const QkKernel kernel = resolveQkKernel(cfg.qk_kernel);
-    const bool packed_qk = kernel != QkKernel::kScalar;
 
     PadeWorkspace local_ws;
     PadeWorkspace &ws = ws_in ? *ws_in : local_ws;
@@ -173,16 +155,11 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
     const MatrixF vf = dequantize(head.v);
 
     ws.tile_scores.resize(static_cast<size_t>(cfg.tile_bc));
+    ScanTally tally;
+    int64_t prefix[BuiTable::kMaxPlanes] = {};
     for (int i = 0; i < p; i++) {
         auto q = head.q.values.row(i);
-        if (packed_qk)
-            ws.qplanes.assign(q);
-        // Hoisted SIMD dispatch state: kSimd survived resolveQkKernel
-        // only if the backend is available, so the view is safe to
-        // build here — once per query row, not per (key, plane) call.
-        const bool simd_qk = kernel == QkKernel::kSimd;
-        const simd::QPlaneView qview =
-            simd_qk ? ws.qplanes.simdView() : simd::QPlaneView{};
+        ws.scorer.assign(kernel, q);
         const BuiTable bui = computeBuiTable(q, bits);
         GuardFilter guard(cfg.alpha, cfg.radius, head.logit_scale);
 
@@ -194,41 +171,16 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
         for (int j : order) {
             if (cfg.causal && j > qpos)
                 continue;
-            res.stats.keys_total++;
-            res.stats.planes_total += bits;
-
-            int64_t score = 0;
-            bool pruned = false;
-            for (int r = 0; r < bits; r++) {
-                score += simd_qk
-                    ? static_cast<int64_t>(
-                          head.k_planes.planeWeight(r)) *
-                        simd::maskedSumAvx2(
-                            qview, head.k_planes.plane(j, r).data(),
-                            head.k_planes.wordsPerPlane())
-                    : packed_qk
-                    ? planeDelta(ws.qplanes, head.k_planes, j, r)
-                    : planeDeltaScalar(q, head.k_planes, j, r);
-                res.planes.at(i, j) = static_cast<uint8_t>(r + 1);
-                res.stats.planes_processed++;
-
-                const PlaneWork &w =
-                    ws.plane_work[static_cast<size_t>(j) * bits + r];
-                res.stats.ops_bs += w.selected_bs;
-                res.stats.ops_naive += w.selected_naive;
-
-                guard.observe(score + bui.lower(r));
-                if (cfg.guard_enabled &&
-                    guard.shouldPrune(score + bui.upper(r))) {
-                    pruned = true;
-                    break;
-                }
-            }
-            if (!pruned) {
+            ws.scorer(head.k_planes, j, prefix);
+            const KeyScan ks = scanKey(
+                prefix, bits, bui, guard, cfg.guard_enabled,
+                ws.plane_work.data() + static_cast<size_t>(j) * bits,
+                tally);
+            res.planes.at(i, j) = static_cast<uint8_t>(ks.planes);
+            if (!ks.pruned) {
                 res.keep.at(i, j) = 1;
-                res.stats.keys_retained++;
                 res.retained[i].push_back(j);
-                ws.retained_scores.push_back(score);
+                ws.retained_scores.push_back(ks.score);
             }
         }
         res.stats.threshold_updates += guard.updates();
@@ -254,6 +206,7 @@ padeAttention(const QuantizedHead &head, const PadeConfig &cfg,
         res.stats.rescale_ops += ws.softmax.rescaleOps();
         ws.softmax.finalizeInto(res.out.row(i));
     }
+    tally.foldInto(res.stats, bits);
     return res;
 }
 

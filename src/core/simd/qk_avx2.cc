@@ -340,6 +340,22 @@ maskedSumWide(const QPlaneView &q, const uint64_t *mask, int words)
     return hsum(weighted);
 }
 
+/**
+ * Lane i of the result = horizontal sum of s[i], for 8 vectors of 8
+ * int32 lanes: three hadd levels leave each 128-bit half holding four
+ * partial sums, and one cross-half add finishes them.
+ */
+inline __m256i
+hsum8x32(const __m256i s[8])
+{
+    const __m256i s0123 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[0], s[1]),
+                                            _mm256_hadd_epi32(s[2], s[3]));
+    const __m256i s4567 = _mm256_hadd_epi32(_mm256_hadd_epi32(s[4], s[5]),
+                                            _mm256_hadd_epi32(s[6], s[7]));
+    return _mm256_add_epi32(_mm256_permute2x128_si256(s0123, s4567, 0x20),
+                            _mm256_permute2x128_si256(s0123, s4567, 0x31));
+}
+
 } // namespace
 
 bool
@@ -385,6 +401,44 @@ dotPlanesAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
         total += w * s;
     }
     return total;
+}
+
+void
+prefixScoresAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
+                 int kbits, int words, int64_t *prefix)
+{
+    assert(kbits >= 1 && kbits <= 8);
+    int64_t sums[8] = {};
+    if (q.bits > 0 && words > 0) {
+        if (useValueKernel(q, words)) {
+            const int chunks = (q.cols + 31) / 32;
+            __m256i s[8];
+            for (int p = 0; p < 8; p++)
+                s[p] = p < kbits
+                    ? widen16(valuePlaneSum16(
+                          q.values,
+                          kplanes + static_cast<std::size_t>(p) * kstride,
+                          0, chunks))
+                    : _mm256_setzero_si256();
+            alignas(32) int32_t lane[8] = {};
+            _mm256_store_si256(reinterpret_cast<__m256i *>(lane),
+                               hsum8x32(s));
+            for (int p = 0; p < kbits; p++)
+                sums[p] = lane[p];
+        } else {
+            for (int p = 0; p < kbits; p++)
+                sums[p] = maskedSumWide(
+                    q, kplanes + static_cast<std::size_t>(p) * kstride,
+                    words);
+        }
+    }
+    int64_t acc = 0;
+    for (int p = 0; p < kbits; p++) {
+        const int64_t w = p == 0 ? -(int64_t{1} << (kbits - 1))
+                                 : int64_t{1} << (kbits - 1 - p);
+        acc += w * sums[p];
+        prefix[p] = acc;
+    }
 }
 
 } // namespace simd
@@ -444,6 +498,21 @@ dotPlanesAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
         total += w * s;
     }
     return total;
+}
+
+void
+prefixScoresAvx2(const QPlaneView &q, const uint64_t *kplanes, int kstride,
+                 int kbits, int words, int64_t *prefix)
+{
+    int64_t acc = 0;
+    for (int p = 0; p < kbits; p++) {
+        const int64_t w = p == 0 ? -(int64_t{1} << (kbits - 1))
+                                 : int64_t{1} << (kbits - 1 - p);
+        acc += w * maskedSumPortable(
+                       q, kplanes + static_cast<std::size_t>(p) * kstride,
+                       words);
+        prefix[p] = acc;
+    }
 }
 
 } // namespace simd

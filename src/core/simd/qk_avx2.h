@@ -2,17 +2,19 @@
  * @file
  * AVX2 implementation of the bit-serial QK scoring primitives.
  *
- * Two entry points cover the QK hot paths:
+ * Three entry points cover the QK hot paths:
  *
  *  - maskedSumAvx2: one key plane against all query planes — the
- *    QueryPlanes::maskedSum primitive, used by the guarded attention
- *    loop which must observe the score after every key plane;
+ *    QueryPlanes::maskedSum primitive (planeDeltaSimd);
  *  - dotPlanesAvx2: the first n key planes of one key fused into one
  *    call (partialDot/exactDot). Fusing amortizes the mask loads and
  *    the vector->scalar reduction over all key planes: the key-plane
  *    weights are powers of two, so the per-plane vector sums fold
  *    into a single accumulator by Horner doubling and only one
- *    horizontal sum runs per (query, key) pair.
+ *    horizontal sum runs per (query, key) pair;
+ *  - prefixScoresAvx2: every prefix score S^0 .. S^{kbits-1} of one
+ *    key in one call, for the guarded attention loop on hosts without
+ *    the AVX-512 backend (qk_avx512.h).
  *
  * This translation unit is the only one in the library built with
  * -mavx2; everything else stays baseline-ISA, and callers must gate
@@ -111,6 +113,19 @@ int64_t maskedSumAvx2(const QPlaneView &q, const uint64_t *mask,
  */
 int64_t dotPlanesAvx2(const QPlaneView &q, const uint64_t *kplanes,
                       int kstride, int kbits, int nplanes, int words);
+
+/**
+ * All prefix scores of one key, prefix[r] = S^r for r < @p kbits —
+ * the AVX2 form of prefixScoresAvx512 (same arguments and result; see
+ * qk_avx512.h), which kSimd runs on hosts without AVX-512 VPOPCNTDQ.
+ * Short rows run the value-domain kernel once per key plane and
+ * reduce the eight per-plane vectors with one hadd tree; other rows
+ * run the plane-domain kernel per key plane. Only the kbits * kstride
+ * row block is read. Same availability contract as maskedSumAvx2.
+ */
+void prefixScoresAvx2(const QPlaneView &q, const uint64_t *kplanes,
+                      int kstride, int kbits, int words,
+                      int64_t *prefix);
 
 } // namespace simd
 } // namespace pade

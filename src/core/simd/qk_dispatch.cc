@@ -8,6 +8,7 @@
 
 #include "core/simd/cpu_features.h"
 #include "core/simd/qk_avx2.h"
+#include "core/simd/qk_avx512.h"
 
 namespace pade {
 namespace {
@@ -57,6 +58,32 @@ qkSimdAvailable()
         return simd::qkAvx2Compiled() && f.avx2 && f.os_ymm;
     }();
     return available;
+}
+
+bool
+qkAvx512Available()
+{
+    static const bool available = [] {
+        const simd::CpuFeatures &f = simd::cpuFeatures();
+        return qkSimdAvailable() && simd::qkAvx512Compiled() &&
+            f.avx512f && f.avx512_vpopcntdq && f.os_zmm;
+    }();
+    return available;
+}
+
+const char *
+qkSimdIsa()
+{
+    if (qkAvx512Available())
+        return "avx512";
+    return qkSimdAvailable() ? "avx2" : "none";
+}
+
+PrefixScoresFn
+simdPrefixScoresKernel()
+{
+    return qkAvx512Available() ? simd::prefixScoresAvx512
+                               : simd::prefixScoresAvx2;
 }
 
 QkKernel

@@ -272,6 +272,13 @@ QueryPlanes::simdView() const
     return {storage_.data(), values_.data(), stride_, bits_, cols_};
 }
 
+simd::QPlaneView
+QueryPlanes::planeView() const
+{
+    assertPlaneAligned(storage_.data());
+    return {storage_.data(), nullptr, stride_, bits_, cols_};
+}
+
 int64_t
 QueryPlanes::maskedSumSimd(std::span<const uint64_t> mask) const
 {

@@ -223,6 +223,13 @@ class QueryPlanes
      */
     simd::QPlaneView simdView() const;
 
+    /**
+     * simdView() without the byte mirror (values == nullptr): the
+     * packed planes alone, all the AVX-512 prefix-score kernel reads.
+     * Never builds the mirror.
+     */
+    simd::QPlaneView planeView() const;
+
     /** Signed weight of plane @p t: -2^{b-1} for t=0, else 2^{b-1-t}. */
     int planeWeight(int t) const;
 

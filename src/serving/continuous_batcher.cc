@@ -578,7 +578,9 @@ ContinuousBatcher::run(std::span<const ServingRequest> trace) const
     report.telemetry = telemetryReportJson(metrics_delta, report);
     if (!opt_.trace_file.empty()) {
         obs::setTraceEnabled(false);
-        if (!writeTextFile(opt_.trace_file, obs::chromeTraceJson()))
+        report.trace_written =
+            writeTextFile(opt_.trace_file, obs::chromeTraceJson());
+        if (!report.trace_written)
             std::fprintf(stderr, "cannot write trace file %s\n",
                          opt_.trace_file.c_str());
     }

@@ -203,6 +203,9 @@ struct ServingReport
      * examples/batch_serving --stats and bench/perf_suite.
      */
     std::string telemetry;
+    /** True when BatcherOptions::trace_file was written; false when
+     *  no trace was requested or the file could not be written. */
+    bool trace_written = false;
 };
 
 /**

@@ -121,14 +121,12 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     // Same per-call dispatch decision as padeAttention: config request
     // + PADE_QK_KERNEL override + capability clamp.
     const QkKernel kernel = resolveQkKernel(cfg_.qk_kernel);
-    const bool packed_qk = kernel != QkKernel::kScalar;
-    const bool simd_qk = kernel == QkKernel::kSimd;
     if constexpr (obs::kTelemetryEnabled) {
         DecodeMetrics &m = DecodeMetrics::get();
         m.steps.add(1);
-        (simd_qk         ? m.dispatch_simd
-             : packed_qk ? m.dispatch_popcount
-                         : m.dispatch_scalar)
+        (kernel == QkKernel::kSimd         ? m.dispatch_simd
+             : kernel == QkKernel::kPopcount ? m.dispatch_popcount
+                                             : m.dispatch_scalar)
             .add(1);
     }
 
@@ -139,10 +137,7 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     group_ = g;
     for (int gi = 0; gi < g; gi++) {
         HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-        if (packed_qk)
-            hs.qplanes.assign(qs_[static_cast<std::size_t>(gi)]);
-        hs.qview =
-            simd_qk ? hs.qplanes.simdView() : simd::QPlaneView{};
+        hs.scorer.assign(kernel, qs_[static_cast<std::size_t>(gi)]);
         hs.bui = computeBuiTable(qs_[static_cast<std::size_t>(gi)],
                                  bits);
         hs.guard = GuardFilter(cfg_.alpha, cfg_.radius, logit_scale);
@@ -206,8 +201,8 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
     }
 
     DecodeStep res;
-    const uint64_t planes_before = stats_.planes_processed;
-    const uint64_t planes_total_before = stats_.planes_total;
+    ScanTally tally;
+    int64_t prefix[BuiTable::kMaxPlanes] = {};
 
     // The padeAttention inner loop, key-outer / query-head-inner: the
     // (page, row) mapping, the packed plane row, and the cached
@@ -230,66 +225,35 @@ DecodeEngine::runGroup(const KvCache &cache, int qpos, int order_len,
 
         for (int gi = 0; gi < g; gi++) {
             HeadState &hs = heads_[static_cast<std::size_t>(gi)];
-            stats_.keys_total++;
-            stats_.planes_total += static_cast<uint64_t>(bits);
-
-            int64_t score = 0;
-            bool pruned = false;
-            for (int r = 0; r < bits; r++) {
-                score += simd_qk
-                    ? static_cast<int64_t>(kp.planeWeight(r)) *
-                        simd::maskedSumAvx2(hs.qview,
-                                            kp.plane(local, r).data(),
-                                            kp.wordsPerPlane())
-                    : packed_qk
-                    ? planeDelta(hs.qplanes, kp, local, r)
-                    : planeDeltaScalar(
-                          qs_[static_cast<std::size_t>(gi)], kp,
-                          local, r);
-                hs.planes[static_cast<std::size_t>(j)] =
-                    static_cast<uint8_t>(r + 1);
-                stats_.planes_processed++;
-
-                const PlaneWork &w = wrow[r];
-                stats_.ops_bs +=
-                    static_cast<uint64_t>(w.selected_bs);
-                stats_.ops_naive +=
-                    static_cast<uint64_t>(w.selected_naive);
-
-                hs.guard.observe(score + hs.bui.lower(r));
-                if (cfg_.guard_enabled &&
-                    hs.guard.shouldPrune(score + hs.bui.upper(r))) {
-                    pruned = true;
-                    break;
-                }
-            }
-            if (!pruned) {
+            hs.scorer(kp, local, prefix);
+            const KeyScan ks =
+                scanKey(prefix, bits, hs.bui, hs.guard,
+                        cfg_.guard_enabled, wrow, tally);
+            hs.planes[static_cast<std::size_t>(j)] =
+                static_cast<uint8_t>(ks.planes);
+            if (!ks.pruned) {
                 hs.keep[static_cast<std::size_t>(j)] = 1;
-                stats_.keys_retained++;
                 hs.retained.push_back(j);
-                hs.retained_scores.push_back(score);
+                hs.retained_scores.push_back(ks.score);
             }
         }
     }
-    for (int gi = 0; gi < g; gi++) {
+    tally.foldInto(stats_, bits);
+    for (int gi = 0; gi < g; gi++)
         stats_.threshold_updates +=
             heads_[static_cast<std::size_t>(gi)].guard.updates();
-        res.retained += static_cast<int>(
-            heads_[static_cast<std::size_t>(gi)].retained.size());
-    }
-    res.planes = stats_.planes_processed - planes_before;
+    res.retained = static_cast<int>(tally.retained);
+    res.planes = tally.planes;
     if constexpr (obs::kTelemetryEnabled) {
         DecodeMetrics &m = DecodeMetrics::get();
         // Per-query-head totals, matching PruneStats semantics: the
         // prune ratio is 1 - planes_consumed / planes_total and the
         // retention ratio keys_retained / keys_scanned, both
         // recoverable from any snapshot delta.
-        m.keys_scanned.add(static_cast<uint64_t>(res.keys) *
-                           static_cast<uint64_t>(g));
-        m.keys_retained.add(static_cast<uint64_t>(res.retained));
-        m.planes_consumed.add(res.planes);
-        m.planes_total.add(stats_.planes_total -
-                           planes_total_before);
+        m.keys_scanned.add(tally.keys);
+        m.keys_retained.add(tally.retained);
+        m.planes_consumed.add(tally.planes);
+        m.planes_total.add(tally.keys * static_cast<uint64_t>(bits));
     }
 
     // ISTA value stage per head, tiled by Bc in scan order — the

@@ -43,7 +43,13 @@
  * The kernel seam is the same as batch attention:
  * `PadeConfig::qk_kernel` is resolved through `resolveQkKernel()`
  * every step, so kScalar / kPopcount / kSimd (and the PADE_QK_KERNEL
- * override) all apply unchanged.
+ * override) all apply unchanged. Per (key, query head) the scan makes
+ * ONE scoring call that returns every prefix score
+ * S^r = sum_{p<=r} w_p * maskedSum(kplane_p), r < bits — a single
+ * AVX-512 VPOPCNTDQ (or AVX2) kernel under kSimd — and the BUI-GF
+ * guard then walks that array inline (core/key_scan.h), the same
+ * helper padeAttention's key loop runs. Pruning statistics stay in
+ * locals during the scan and are folded into stats() once per step.
  *
  * Complexity: a full-history step is O(context) (every cached token
  * is scanned). A retention-windowed step is O(sink + recency) —
@@ -64,8 +70,8 @@
 #include "common/check.h"
 #include "core/bui.h"
 #include "core/guard_filter.h"
+#include "core/key_scan.h"
 #include "core/pade_attention.h"
-#include "core/simd/qk_avx2.h"
 #include "serving/kv_cache.h"
 #include "tensor/matrix.h"
 
@@ -246,8 +252,7 @@ class DecodeEngine
     /** Per-query-head scratch, persistent across steps (grow-only). */
     struct HeadState
     {
-        QueryPlanes qplanes;
-        simd::QPlaneView qview{};
+        PrefixScorer scorer;
         BuiTable bui;
         GuardFilter guard{1.0, 0.0, 1.0};
         std::vector<int> retained;

@@ -450,6 +450,14 @@ TEST(ObsBitIdentity, UnwritableTraceFileIsReportedAndServes)
     EXPECT_NE(err.find("cannot write trace file " + opt.trace_file),
               std::string::npos)
         << err;
+    EXPECT_FALSE(plain.trace_written); // no trace requested
+    EXPECT_FALSE(traced.trace_written);
+
+    opt.trace_file = testing::TempDir() + "pade_writable_trace.json";
+    const ServingReport written = ContinuousBatcher(opt).run(trace);
+    EXPECT_TRUE(written.trace_written);
+    EXPECT_EQ(plain.checksum, written.checksum);
+    std::remove(opt.trace_file.c_str());
 }
 
 TEST(ObsBitIdentity, LayerOutputsAndPruneStatsUnchangedByTracing)

@@ -14,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/bit_serial.h"
+#include "core/key_scan.h"
 #include "core/simd/cpu_features.h"
+#include "core/simd/qk_avx2.h"
+#include "core/simd/qk_avx512.h"
 #include "core/simd/qk_dispatch.h"
 #include "quant/bitplane.h"
 
@@ -311,6 +316,141 @@ TEST(QkSimd, ReusedQueryPlanesStayConsistent)
                       exactDotScalar(q.row(0), planes, j))
                 << "cols=" << cols;
         }
+    }
+}
+
+/**
+ * Prefix-score kernels (one call per key for every S^r) against sums
+ * of planeDeltaScalar, over head_dim x key bits x query width. The
+ * scored key is the last row of a page filled to its reserved
+ * capacity, so its row block ends exactly at the end of the
+ * allocation and a sanitizer build reports any read past it.
+ */
+enum class PrefixPath
+{
+    kAvx512,
+    kAvx2,
+    kPopcount,
+};
+
+class PrefixScoresTest : public ::testing::TestWithParam<PrefixPath>
+{
+};
+
+TEST_P(PrefixScoresTest, EveryPrefixMatchesScalarPlaneSums)
+{
+    const PrefixPath path = GetParam();
+    if (path == PrefixPath::kAvx512 && !qkAvx512Available())
+        GTEST_SKIP() << "CPU/OS lacks AVX512F + AVX512_VPOPCNTDQ (or "
+                        "the backend is not compiled); AVX-512 "
+                        "prefix-score kernel not exercised";
+    if (path == PrefixPath::kAvx2 && simd::qkAvx2Compiled() &&
+        !qkSimdAvailable())
+        GTEST_SKIP() << "CPU/OS lacks AVX2; AVX2 prefix-score kernel "
+                        "not exercised";
+    constexpr int kRows = 3;
+    for (int cols : {8, 63, 64, 65, 128, 256, 300, 512}) {
+        for (int kbits = 2; kbits <= 8; kbits++) {
+            BitPlaneSet page(cols, kbits, kRows);
+            const MatrixI8 k = randomRanged(kRows, cols, kbits,
+                                            7000 + cols * 16 + kbits);
+            for (int row = 0; row < kRows; row++)
+                page.appendToken(k.row(row));
+            const int last = kRows - 1;
+            for (int qbits = 1; qbits <= 8; qbits++) {
+                const MatrixI8 q =
+                    randomRanged(1, cols, qbits == 1 ? 2 : qbits,
+                                 9000 + cols * 64 + kbits * 8 + qbits);
+                QueryPlanes qp;
+                qp.assign(q.row(0), qbits);
+                // The oracle scores what the planes encode: a forced
+                // 1-bit width truncates the row to {-1, 0}.
+                std::vector<int8_t> qv(static_cast<std::size_t>(cols));
+                for (int d = 0; d < cols; d++)
+                    for (int t = 0; t < qbits; t++)
+                        qv[static_cast<std::size_t>(d)] =
+                            static_cast<int8_t>(
+                                qv[static_cast<std::size_t>(d)] +
+                                qp.planeWeight(t) * qp.bit(t, d));
+                int64_t got[8] = {};
+                switch (path) {
+                case PrefixPath::kAvx512:
+                    simd::prefixScoresAvx512(
+                        qp.planeView(), page.rowPlanes(last).data(),
+                        page.planeStride(), kbits,
+                        page.wordsPerPlane(), got);
+                    break;
+                case PrefixPath::kAvx2:
+                    simd::prefixScoresAvx2(
+                        qp.simdView(), page.rowPlanes(last).data(),
+                        page.planeStride(), kbits,
+                        page.wordsPerPlane(), got);
+                    break;
+                case PrefixPath::kPopcount:
+                    prefixScores(qp, page, last, got);
+                    break;
+                }
+                int64_t want = 0;
+                for (int r = 0; r < kbits; r++) {
+                    want += planeDeltaScalar(qv, page, last, r);
+                    ASSERT_EQ(got[r], want)
+                        << "cols=" << cols << " kbits=" << kbits
+                        << " qbits=" << qbits << " r=" << r;
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Paths, PrefixScoresTest,
+    ::testing::Values(PrefixPath::kAvx512, PrefixPath::kAvx2,
+                      PrefixPath::kPopcount),
+    [](const ::testing::TestParamInfo<PrefixPath> &path) {
+        switch (path.param) {
+        case PrefixPath::kAvx512: return std::string("Avx512");
+        case PrefixPath::kAvx2: return std::string("Avx2");
+        case PrefixPath::kPopcount: return std::string("Popcount");
+        }
+        return std::string("Unknown");
+    });
+
+TEST(QkSimd, PrefixScorerMatchesOracleForEveryKernel)
+{
+    // The hot loops' entry point: whatever ISA kSimd resolves to here,
+    // every kernel the scorer can be staged with matches the oracle.
+    const MatrixI8 q = randomRanged(1, 96, 8, 600);
+    const MatrixI8 k = randomRanged(4, 96, 6, 601);
+    const BitPlaneSet planes(k, 6);
+    for (QkKernel kernel : {QkKernel::kScalar, QkKernel::kPopcount,
+                            QkKernel::kSimd}) {
+        PrefixScorer scorer;
+        scorer.assign(resolveQkKernel(kernel), q.row(0));
+        for (int j = 0; j < 4; j++) {
+            int64_t got[8] = {};
+            scorer(planes, j, got);
+            int64_t want = 0;
+            for (int r = 0; r < 6; r++) {
+                want += planeDeltaScalar(q.row(0), planes, j, r);
+                EXPECT_EQ(got[r], want)
+                    << qkKernelName(kernel) << " r=" << r;
+            }
+            EXPECT_EQ(got[5], exactDotScalar(q.row(0), planes, j));
+        }
+    }
+}
+
+TEST(QkDispatch, SimdIsaMatchesAvailability)
+{
+    const std::string isa = qkSimdIsa();
+    if (qkAvx512Available()) {
+        EXPECT_EQ(isa, "avx512");
+        const simd::CpuFeatures &f = simd::cpuFeatures();
+        EXPECT_TRUE(f.avx512f && f.avx512_vpopcntdq && f.os_zmm);
+        EXPECT_EQ(simdPrefixScoresKernel(), &simd::prefixScoresAvx512);
+    } else {
+        EXPECT_EQ(isa, qkSimdAvailable() ? "avx2" : "none");
+        EXPECT_EQ(simdPrefixScoresKernel(), &simd::prefixScoresAvx2);
     }
 }
 
